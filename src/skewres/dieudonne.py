@@ -8,7 +8,10 @@ real polynomials obtained by symmetrizing any representative.
 
 Elimination uses only the two class-safe row operations: adding a left
 multiple of another row (invisible to the class) and extracting a pivot
-(which contributes its class as a left factor).
+(which contributes its class as a left factor). One forward elimination,
+_eliminate, serves the determinant representative, Cramer solves, rank and
+kernels; one fraction-free Bareiss loop, _bareiss, serves the symmetrized
+determinant here and the classical resultant in resultant.py.
 """
 
 from __future__ import annotations
@@ -276,6 +279,34 @@ def _phi_blocks(poly: Poly1) -> tuple:
     return alpha, beta, beta_neg_c, alpha_c
 
 
+def _bareiss(mat: list, mul, sub, div_exact) -> tuple:
+    """Fraction-free elimination (Bareiss 1968) of a nonempty square matrix
+    over a commutative domain whose zero is falsy; works in place.
+
+    Returns (sign, last) with determinant sign * last; last is the zero
+    element when a column has no pivot.
+    """
+    size = len(mat)
+    sign = 1
+    prev = None
+    for k in range(size - 1):
+        if not mat[k][k]:
+            swap = next((r for r in range(k + 1, size) if mat[r][k]), None)
+            if swap is None:
+                return sign, mat[k][k]
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot = mat[k][k]
+        for i in range(k + 1, size):
+            head = mat[i][k]
+            row = mat[i]
+            for j in range(k + 1, size):
+                term = sub(mul(pivot, row[j]), mul(head, mat[k][j]))
+                row[j] = term if prev is None else div_exact(term, prev)
+        prev = pivot
+    return sign, mat[size - 1][size - 1]
+
+
 def _phi_sdet(rows: list[list[Poly1]]) -> RealPoly:
     """sdet of a polynomial-entry matrix via Bareiss on the complex image."""
     n = len(rows)
@@ -290,27 +321,7 @@ def _phi_sdet(rows: list[list[Poly1]]) -> RealPoly:
             mat[2 * i][2 * j + 1] = b
             mat[2 * i + 1][2 * j] = c
             mat[2 * i + 1][2 * j + 1] = d
-    sign = 1
-    prev = None
-    for k in range(size - 1):
-        if not mat[k][k]:
-            swap = next(
-                (r for r in range(k + 1, size) if mat[r][k]), None
-            )
-            if swap is None:
-                return RealPoly()
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, size):
-            head = mat[i][k]
-            row = mat[i]
-            for j in range(k + 1, size):
-                term = _cp_sub(_cp_mul(pivot, row[j]), _cp_mul(head, mat[k][j]))
-                row[j] = term if prev is None else _cp_div_exact(term, prev)
-            row[k] = ()
-        prev = pivot
-    final = mat[size - 1][size - 1]
+    sign, final = _bareiss(mat, _cp_mul, _cp_sub, _cp_div_exact)
     if any(i != 0 for _, i in final):
         raise InternalRealityViolation("complex-image determinant is not real")
     coeffs = [sign * r for r, _ in final]
@@ -319,26 +330,24 @@ def _phi_sdet(rows: list[list[Poly1]]) -> RealPoly:
     return RealPoly(coeffs)
 
 
-def _eliminate_rep(matrix: SkewMatrix, rule) -> OreFrac:
-    """A class representative by first-column elimination.
+def _eliminate(work: list, ncols: int, rule) -> list[tuple[int, int]]:
+    """Forward elimination over the skew field, in place; returns the pivots.
 
-    At each level a nonzero pivot is chosen in the working first column, all
-    other rows are cleared with left-multiple row additions (class-invisible),
-    and the pivot's class multiplies the result. An all-zero column means the
-    zero class.
+    Columns are taken left to right. In each, rule picks the pivot among the
+    unused rows with a nonzero entry (offered in their original order; rows
+    are never swapped) and every other unused row is cleared with a
+    left-multiple row addition, which is invisible to the determinant class.
+    A column with no candidate has no pivot. Rows longer than ncols carry
+    their extra entries (a right-hand side) along.
     """
-    n = matrix.nrows
-    work = [list(row) for row in matrix.entries]
-    active = list(range(n))
-    rep = ONE_FRAC
-    for col in range(n):
+    active = list(range(len(work)))
+    pivots = []
+    for col in range(ncols):
         column = [(r, work[r][col]) for r in active if not work[r][col].is_zero]
         if not column:
-            return ZERO_FRAC
+            continue
         p = rule(column)
-        pivot = work[p][col]
-        rep = rep * pivot
-        pinv = pivot.inv()
+        pinv = work[p][col].inv()
         for r in active:
             if r == p:
                 continue
@@ -346,10 +355,42 @@ def _eliminate_rep(matrix: SkewMatrix, rule) -> OreFrac:
             if head.is_zero:
                 continue
             factor = head * pinv
-            work[r] = [
-                a - factor * b for a, b in zip(work[r], work[p])
-            ]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[p])]
         active.remove(p)
+        pivots.append((p, col))
+    return pivots
+
+
+def _back_substitute(work: list, pivots: list[tuple[int, int]], xs: list) -> None:
+    """Solve the eliminated rows for the pivot unknowns, last pivot first.
+
+    Pivot row p reads work[p][:n] . xs = work[p][n] for n = len(xs), with a
+    zero right-hand side when the row has no entry n. Free unknowns keep the
+    values already in xs.
+    """
+    n = len(xs)
+    for p, col in reversed(pivots):
+        row = work[p]
+        acc = row[n] if len(row) > n else ZERO_FRAC
+        for j in range(col + 1, n):
+            if not row[j].is_zero and not xs[j].is_zero:
+                acc = acc - row[j] * xs[j]
+        xs[col] = row[col].inv() * acc
+
+
+def _eliminate_rep(matrix: SkewMatrix, rule) -> OreFrac:
+    """A class representative: the product of the pivots in column order.
+
+    Extracting a pivot contributes its class as a left factor; a column with
+    no pivot means the zero class.
+    """
+    work = [list(row) for row in matrix.entries]
+    pivots = _eliminate(work, matrix.ncols, rule)
+    if len(pivots) < matrix.nrows:
+        return ZERO_FRAC
+    rep = ONE_FRAC
+    for p, col in pivots:
+        rep = rep * work[p][col]
     return rep
 
 
@@ -462,9 +503,9 @@ def mat_vec(matrix: SkewMatrix, vec: list) -> list[OreFrac]:
 def cramer_solve(matrix: SkewMatrix, rhs: list) -> list[OreFrac]:
     """Solve A x = b over the skew field (entries act from the left).
 
-    Forward elimination with the same minimal-degree pivot rule, then back
-    substitution; raises SingularSystem when the matrix has no inverse. The
-    solution is verified exactly before being returned.
+    The shared forward elimination with the minimal-degree pivot rule, then
+    back substitution; raises SingularSystem when the matrix has no inverse.
+    The solution is verified exactly before being returned.
     """
     n = matrix.nrows
     if matrix.nrows != matrix.ncols:
@@ -473,77 +514,37 @@ def cramer_solve(matrix: SkewMatrix, rhs: list) -> list[OreFrac]:
         raise DimensionMismatch(f"rhs of length {len(rhs)} for size {n}")
     rhs = [_coerce_frac(v) for v in rhs]
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix.entries)]
-    for col in range(n):
-        column = [(r, aug[r][col]) for r in range(col, n) if not aug[r][col].is_zero]
-        if not column:
-            raise SingularSystem("matrix is singular over the skew field")
-        p = _min_degree_pivot(column)
-        aug[col], aug[p] = aug[p], aug[col]
-        pinv = aug[col][col].inv()
-        for r in range(col + 1, n):
-            head = aug[r][col]
-            if head.is_zero:
-                continue
-            factor = head * pinv
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    pivots = _eliminate(aug, n, _min_degree_pivot)
+    if len(pivots) < n:
+        raise SingularSystem("matrix is singular over the skew field")
     xs: list[OreFrac] = [ZERO_FRAC] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            if not aug[i][j].is_zero and not xs[j].is_zero:
-                acc = acc - aug[i][j] * xs[j]
-        xs[i] = aug[i][i].inv() * acc
+    _back_substitute(aug, pivots, xs)
     if mat_vec(matrix, xs) != rhs:
         raise InternalRealityViolation("solver produced an inexact solution")
     return xs
 
 
-def row_reduce(matrix: SkewMatrix) -> tuple[list[list[OreFrac]], list[int]]:
-    """Reduced row echelon form over the skew field; returns (rows, pivot cols)."""
-    work = [list(row) for row in matrix.entries]
-    pivots: list[int] = []
-    r = 0
-    for col in range(matrix.ncols):
-        if r >= matrix.nrows:
-            break
-        p = None
-        for rr in range(r, matrix.nrows):
-            if not work[rr][col].is_zero:
-                p = rr
-                break
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        inv = work[r][col].inv()
-        work[r] = [inv * a for a in work[r]]
-        for rr in range(matrix.nrows):
-            if rr != r and not work[rr][col].is_zero:
-                factor = work[rr][col]
-                work[rr] = [a - factor * b for a, b in zip(work[rr], work[r])]
-        pivots.append(col)
-        r += 1
-    return work, pivots
-
-
 def rank(matrix: SkewMatrix) -> int:
-    return len(row_reduce(matrix)[1])
+    return len(_eliminate([list(row) for row in matrix.entries], matrix.ncols, _min_degree_pivot))
 
 
 def kernel_vector(matrix: SkewMatrix) -> "list[OreFrac] | None":
     """A nonzero right-kernel vector (A x = 0), or None when the kernel is 0.
 
-    Solutions are closed under right multiplication, so any denominator can
-    later be cleared on the right without leaving the kernel.
+    The first free column is set to 1 and the later ones to 0; back
+    substitution fills in the pivot columns. Solutions are closed under right
+    multiplication, so any denominator can later be cleared on the right
+    without leaving the kernel.
     """
-    rref, pivots = row_reduce(matrix)
-    free = [c for c in range(matrix.ncols) if c not in pivots]
+    work = [list(row) for row in matrix.entries]
+    pivots = _eliminate(work, matrix.ncols, _min_degree_pivot)
+    pivot_cols = {col for _, col in pivots}
+    free = [c for c in range(matrix.ncols) if c not in pivot_cols]
     if not free:
         return None
-    cf = free[0]
     vec = [ZERO_FRAC] * matrix.ncols
-    vec[cf] = ONE_FRAC
-    for row_idx, pcol in enumerate(pivots):
-        vec[pcol] = -rref[row_idx][cf]
+    vec[free[0]] = ONE_FRAC
+    _back_substitute(work, pivots, vec)
     if any(not v.is_zero for v in mat_vec(matrix, vec)) or all(v.is_zero for v in vec):
         raise InternalRealityViolation("kernel construction failed")
     return vec

@@ -40,8 +40,7 @@ class OreFrac:
             c = den.coeffs[0]
             if c != Quaternion(1):
                 num = num.scale_left(c.inverse())
-                den = ONE_P
-            self.den = ONE_P if den.degree == 0 else den
+            self.den = ONE_P
             self.num = num
             return
         g = gcld(den, num)

@@ -6,6 +6,10 @@ everything, coefficients need not commute with each other). Evaluation
 substitutes the point for the variable with powers kept on the left,
 f(p) = sum_n p^n * a_n, and is NOT multiplicative in general.
 
+Conjugation is an anti-automorphism (conj(f*g) = conj(g)*conj(f)), so the
+right-handed Euclidean routines right_divmod, gcrd and lcrm are conj mirrors
+of left_divmod, gcld and llcm on the conjugated inputs.
+
 Also hosts RealPoly, the commutative subring of real-coefficient polynomials,
 used wherever symmetrizations land.
 """
@@ -215,56 +219,51 @@ def left_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
 
 
 def right_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
-    """Quotient/remainder with the divisor on the RIGHT: f = quot*g + rem."""
-    if g.is_zero:
-        raise ZeroPolynomial("division by the zero polynomial")
-    gd = g.degree
-    glc_inv = g.lc.inverse()
-    rem = list(f.coeffs)
-    if len(rem) - 1 < gd:
-        return ZERO_P, f
-    quot = [ZERO] * (len(rem) - gd)
-    for k in range(len(rem) - 1, gd - 1, -1):
-        top = rem[k]
-        if not top:
-            continue
-        c = top * glc_inv  # c * g.lc == top
-        quot[k - gd] = c
-        off = k - gd
-        for t, gc in enumerate(g.coeffs):
-            rem[t + off] = rem[t + off] - c * gc
-    return Poly1(quot), Poly1(rem[:gd])
+    """Quotient/remainder with the divisor on the RIGHT: f = quot*g + rem.
+
+    The conj mirror of left_divmod: conj is an anti-automorphism, so
+    conj(f) = conj(g)*conj(quot) + conj(rem), and the remainder is unique.
+    """
+    quot, rem = left_divmod(f.conj(), g.conj())
+    return quot.conj(), rem.conj()
 
 
 def _scale_central(p: Poly1, w) -> Poly1:
     """p times a central rational, applied componentwise."""
     if w == 1:
         return p
-    return Poly1(
-        [Quaternion(w * c.w, w * c.x, w * c.y, w * c.z) for c in p.coeffs]
-    )
+    return Poly1([c * w for c in p.coeffs])
 
 
-def _content_scale(p: Poly1) -> "Rational":
-    """The central rational that rescales the components to coprime integers."""
+def _parts(quats) -> list:
+    """The rational components of a sequence of quaternions, in order."""
+    return [v for c in quats for v in (c.w, c.x, c.y, c.z)]
+
+
+def _content_scale(values) -> "Rational":
+    """The positive rational that rescales the values to coprime integers."""
     num_gcd = 0
     den_lcm = 1
-    for c in p.coeffs:
-        for v in (c.w, c.x, c.y, c.z):
-            if v:
-                num_gcd = math.gcd(num_gcd, abs(int(v.numerator)))
-                d = int(v.denominator)
-                den_lcm = den_lcm // math.gcd(den_lcm, d) * d
+    for v in values:
+        if v:
+            num_gcd = math.gcd(num_gcd, int(v.numerator))
+            d = int(v.denominator)
+            den_lcm = den_lcm // math.gcd(den_lcm, d) * d
     if num_gcd == 0:
         return _R1
     return Rational(den_lcm, num_gcd)
 
 
-def _pseudo_right_rem(f: Poly1, g: Poly1) -> Poly1:
-    """Remainder of scale*f = quot*g + rem, divisor on the RIGHT.
+def _primitive(p: Poly1) -> Poly1:
+    """p rescaled by a central rational to coprime integer components."""
+    return _scale_central(p, _content_scale(_parts(p.coeffs)))
+
+
+def _pseudo_left_rem(f: Poly1, g: Poly1) -> Poly1:
+    """Remainder of scale*f = g*quot + rem, divisor on the LEFT.
 
     scale is a power of norm_sq(g.lc), a central real, so integral inputs
-    stay integral: each elimination uses top * conj(g.lc) instead of a true
+    stay integral: each elimination uses conj(g.lc) * top instead of a true
     inverse. Euclidean chains strip the content afterwards, which keeps the
     classical primitive-sequence growth bound.
     """
@@ -281,37 +280,7 @@ def _pseudo_right_rem(f: Poly1, g: Poly1) -> Poly1:
             continue
         for t in range(k):
             if rem[t]:
-                rem[t] = Quaternion(
-                    nsq * rem[t].w, nsq * rem[t].x, nsq * rem[t].y, nsq * rem[t].z
-                )
-        c = top * gconj  # c * g.lc == nsq * top
-        off = k - gd
-        for t in range(gd):
-            gc = g.coeffs[t]
-            if gc:
-                rem[t + off] = rem[t + off] - c * gc
-        rem[k] = ZERO
-    return Poly1(rem[:gd])
-
-
-def _pseudo_left_rem(f: Poly1, g: Poly1) -> Poly1:
-    """Remainder of scale*f = g*quot + rem, divisor on the LEFT."""
-    gd = g.degree
-    if f.degree < gd:
-        return f
-    glc = g.lc
-    nsq = glc.norm_sq()
-    gconj = glc.conj()
-    rem = list(f.coeffs)
-    for k in range(len(rem) - 1, gd - 1, -1):
-        top = rem[k]
-        if not top:
-            continue
-        for t in range(k):
-            if rem[t]:
-                rem[t] = Quaternion(
-                    nsq * rem[t].w, nsq * rem[t].x, nsq * rem[t].y, nsq * rem[t].z
-                )
+                rem[t] = rem[t] * nsq
         c = gconj * top  # g.lc * c == nsq * top
         off = k - gd
         for t in range(gd):
@@ -339,50 +308,35 @@ def monic_right(f: Poly1) -> Poly1:
 def gcrd(f: Poly1, g: Poly1) -> Poly1:
     """Greatest common right divisor, monic (by left scaling).
 
-    Uses the right-division chain: remainders of scale*f = quot*g + rem share
-    the right divisors of (f, g); remainders are kept primitive so the chain
-    stays over integer components.
+    The conj mirror of gcld: right divisors of (f, g) are the conjugates of
+    the left divisors of (conj f, conj g).
     """
     if f.is_zero and g.is_zero:
         raise ZeroPolynomial("gcrd(0, 0) is undefined")
-    f = _scale_central(f, _content_scale(f))
-    g = _scale_central(g, _content_scale(g))
-    while not g.is_zero:
-        rem = _pseudo_right_rem(f, g)
-        if not rem.is_zero:
-            rem = _scale_central(rem, _content_scale(rem))
-        f, g = g, rem
-    return monic_left(f)
+    return gcld(f.conj(), g.conj()).conj()
 
 
 def gcld(f: Poly1, g: Poly1) -> Poly1:
-    """Greatest common left divisor, monic (by right scaling)."""
+    """Greatest common left divisor, monic (by right scaling).
+
+    Uses the left-division chain: remainders of scale*f = g*quot + rem share
+    the left divisors of (f, g); remainders are kept primitive so the chain
+    stays over integer components.
+    """
     if f.is_zero and g.is_zero:
         raise ZeroPolynomial("gcld(0, 0) is undefined")
-    f = _scale_central(f, _content_scale(f))
-    g = _scale_central(g, _content_scale(g))
+    f, g = _primitive(f), _primitive(g)
     while not g.is_zero:
-        rem = _pseudo_left_rem(f, g)
-        if not rem.is_zero:
-            rem = _scale_central(rem, _content_scale(rem))
-        f, g = g, rem
+        f, g = g, _primitive(_pseudo_left_rem(f, g))
     return monic_right(f)
 
 
 def _strip_row(row: list) -> list:
     """Scale an equation to coprime integer components (solution-preserving)."""
-    num_gcd = 0
-    den_lcm = 1
-    for q in row:
-        for v in (q.w, q.x, q.y, q.z):
-            if v:
-                num_gcd = math.gcd(num_gcd, abs(int(v.numerator)))
-                d = int(v.denominator)
-                den_lcm = den_lcm // math.gcd(den_lcm, d) * d
-    if num_gcd in (0, den_lcm):
+    w = _content_scale(_parts(row))
+    if w == 1:
         return row
-    w = Rational(den_lcm, num_gcd)
-    return [Quaternion(w * q.w, w * q.x, w * q.y, w * q.z) for q in row]
+    return [q * w for q in row]
 
 
 def _quat_right_kernel(rows: list[list[Quaternion]]) -> "list[Quaternion] | None":
@@ -413,11 +367,7 @@ def _quat_right_kernel(rows: list[list[Quaternion]]) -> "list[Quaternion] | None
             if r != prow and work[r][col]:
                 head_c = work[r][col] * pconj  # head_c * p == nsq * head
                 work[r] = _strip_row(
-                    [
-                        Quaternion(nsq * a.w, nsq * a.x, nsq * a.y, nsq * a.z)
-                        - head_c * b
-                        for a, b in zip(work[r], prow_vals)
-                    ]
+                    [a * nsq - head_c * b for a, b in zip(work[r], prow_vals)]
                 )
         pivots.append((prow, col))
         prow += 1
@@ -442,7 +392,7 @@ def llcm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
     """
     if b.is_zero or c.is_zero:
         raise ZeroPolynomial("llcm needs nonzero inputs")
-    wb, wc = _content_scale(b), _content_scale(c)
+    wb, wc = _content_scale(_parts(b.coeffs)), _content_scale(_parts(c.coeffs))
     bs, cs = _scale_central(b, wb), _scale_central(c, wc)
     g = gcrd(bs, cs)
     du = cs.degree - g.degree
@@ -682,25 +632,12 @@ def real_divmod(f: RealPoly, g: RealPoly) -> tuple[RealPoly, RealPoly]:
     return RealPoly(quot), RealPoly(rem[:gd])
 
 
-def _real_content_scale(coeffs) -> "Rational":
-    num_gcd = 0
-    den_lcm = 1
-    for v in coeffs:
-        if v:
-            num_gcd = math.gcd(num_gcd, int(v.numerator))
-            d = int(v.denominator)
-            den_lcm = den_lcm // math.gcd(den_lcm, d) * d
-    if num_gcd == 0:
-        return _R1
-    return Rational(den_lcm, num_gcd)
-
-
 def real_gcd(f: RealPoly, g: RealPoly) -> RealPoly:
     """Monic gcd over the rationals; gcd(0, 0) = 0."""
     while not g.is_zero:
         rem = real_divmod(f, g)[1]
         if not rem.is_zero:
-            rem = _real_content_scale(rem.coeffs) * rem
+            rem = _content_scale(rem.coeffs) * rem
         f, g = g, rem
     return f.monic()
 

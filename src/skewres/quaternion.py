@@ -20,8 +20,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rational
 
-RationalLike = "Rational | int | str"
-
 _R0 = Rational(0)
 _R1 = Rational(1)
 

@@ -8,11 +8,13 @@ cofactors, discriminants) is built on that matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .dieudonne import (
     DetClass,
     SkewMatrix,
+    _bareiss,
     cramer_solve,
     det,
     kernel_vector,
@@ -310,34 +312,6 @@ def _real_views(s: Poly2, wrt: str) -> list[RealPoly]:
     return [v.try_real() for v in s.coeffs_in(wrt)]
 
 
-def _real_det(rows: list[list[RealPoly]]) -> RealPoly:
-    """Fraction-free determinant over the commutative core ring."""
-    n = len(rows)
-    if n == 0:
-        return RealPoly((1,))
-    mat = [list(r) for r in rows]
-    sign = 1
-    prev: "RealPoly | None" = None
-    for col in range(n - 1):
-        piv = None
-        for r in range(col, n):
-            if not mat[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            return RealPoly()
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                term = mat[r][c] * mat[col][col] - mat[r][col] * mat[col][c]
-                mat[r][c] = term if prev is None else real_div_exact(term, prev)
-            mat[r][col] = RealPoly()
-        prev = mat[col][col]
-    return sign * mat[n - 1][n - 1]
-
-
 def classical_resultant(av: list[RealPoly], bv: list[RealPoly]) -> RealPoly:
     """Ordinary commutative resultant from coefficient views (ascending)."""
     n = len(av) - 1
@@ -349,7 +323,10 @@ def classical_resultant(av: list[RealPoly], bv: list[RealPoly]) -> RealPoly:
         row = [av[k - j] if 0 <= k - j <= n else RealPoly() for j in range(m)]
         row += [bv[k - j] if 0 <= k - j <= m else RealPoly() for j in range(n)]
         rows.append(row)
-    return _real_det(rows)
+    if not rows:
+        return RealPoly((1,))
+    sign, last = _bareiss(rows, operator.mul, operator.sub, real_div_exact)
+    return sign * last
 
 
 @dataclass(frozen=True)

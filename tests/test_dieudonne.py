@@ -5,6 +5,7 @@ import random
 import pytest
 import sympy
 
+from skewres import dieudonne
 from skewres.dieudonne import (
     DetClass,
     SkewMatrix,
@@ -23,6 +24,7 @@ from skewres.dieudonne import (
 from skewres.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InternalRealityViolation,
     NonSquare,
     SingularSystem,
 )
@@ -312,3 +314,130 @@ def test_matrix_product_entries():
     assert sq.entry(0, 0) == f * f
     assert sq.entry(0, 1) == f + f
     assert sq.entry(1, 1) == f * f
+
+
+def _coeff_strings(p: Poly1):
+    return [tuple(str(v) for v in (c.w, c.x, c.y, c.z)) for c in p.coeffs]
+
+
+def test_det_representative_is_pinned():
+    # Column 0 ties at weight 1 in every row, so the tie-break to the lowest
+    # row decides the first pivot. The representative is what `skewres det`
+    # prints; it must not move when the elimination is restructured.
+    half = Quaternion(Rational(1, 2))
+    m = SkewMatrix(
+        [
+            [
+                OreFrac(q_minus(I), Poly1([J])),
+                Poly1([ONE, K]),
+                OreFrac(q_minus(J), Poly1([half, ONE])),
+            ],
+            [Poly1([K, ONE]), OreFrac(q_minus(K), Poly1([I, J])), Poly1([ONE + I])],
+            [
+                OreFrac(Poly1([ONE, ONE]), Poly1([2 * ONE])),
+                Poly1([J]),
+                OreFrac(q_minus(I), Poly1([K, ZERO, ONE])),
+            ],
+        ]
+    )
+    rep = det(m).rep
+    assert _coeff_strings(rep.den) == [
+        ("1/3", "0", "1/3", "4/3"),
+        ("2", "1/3", "4/3", "2/3"),
+        ("7/3", "11/3", "1", "5/3"),
+        ("-2/3", "4", "-2/3", "7/3"),
+        ("-4/3", "0", "-1/3", "8/3"),
+        ("1", "-2/3", "1/3", "8/3"),
+        ("1", "0", "0", "0"),
+    ]
+    assert _coeff_strings(rep.num) == [
+        ("2/3", "-9/2", "2/3", "-11/6"),
+        ("-9/2", "-11/2", "10", "1/2"),
+        ("61/6", "-7/2", "47/3", "47/3"),
+        ("31/3", "29/6", "-22/3", "6"),
+        ("3", "-9/2", "-3", "4"),
+        ("11/3", "-11/6", "-13/6", "-3"),
+        ("4", "-2", "-5/2", "2"),
+        ("2", "1/3", "-8/3", "-4/3"),
+        ("2/3", "-1/3", "-5/3", "-1"),
+        ("0", "0", "0", "-1"),
+    ]
+
+
+def _column_dependent(rows, lam):
+    # Column 1 is column 0 times lam on the right, so column 1 is the first
+    # free column and column 2, after it, is a pivot column.
+    return SkewMatrix([[a, a * lam, b] for a, b in rows])
+
+
+def test_kernel_free_column_before_a_pivot_column():
+    lam = OreFrac(q_minus(J), Poly1([K, ONE]))
+    f = OreFrac.from_poly
+    square = _column_dependent(
+        [(f(q_minus(I)), f(Poly1([J]))), (f(Poly1([K, I])), f(q_minus(K))), (ONE_FRAC, ZERO_FRAC)],
+        lam,
+    )
+    wide = _column_dependent([(f(q_minus(I)), f(Poly1([J]))), (f(Poly1([K, I])), f(q_minus(K)))], lam)
+    # Rows 1 and 2 are left multiples of row 0, and column 0 is zero.
+    row0 = [ZERO_FRAC, f(q_minus(I)), OreFrac(q_minus(K), Poly1([J]))]
+    rank_one = SkewMatrix([row0, [f(Poly1([K])) * e for e in row0], [lam * e for e in row0]])
+    for m, want_rank, free in ((square, 2, [1]), (wide, 2, [1]), (rank_one, 1, [0, 2])):
+        assert rank(m) + len(free) == m.ncols
+        assert rank(m) == want_rank
+        vec = kernel_vector(m)
+        assert vec is not None
+        assert all(v.is_zero for v in mat_vec(m, vec))
+        # The first free column is set to 1, the later free columns to 0.
+        assert vec[free[0]] == ONE_FRAC
+        assert all(vec[c].is_zero for c in free[1:])
+    # On the column-dependent matrices the kernel is spanned by (-lam, 1, 0).
+    assert kernel_vector(square) == [-lam, ONE_FRAC, ZERO_FRAC]
+    assert kernel_vector(wide) == [-lam, ONE_FRAC, ZERO_FRAC]
+    assert kernel_vector(rank_one) == [ONE_FRAC, ZERO_FRAC, ZERO_FRAC]
+
+
+def _corrupt_first_pivot_unknown(monkeypatch):
+    real = dieudonne._back_substitute
+
+    def corrupted(work, pivots, xs):
+        real(work, pivots, xs)
+        col = pivots[0][1]
+        xs[col] = xs[col] + ONE_FRAC
+
+    monkeypatch.setattr(dieudonne, "_back_substitute", corrupted)
+
+
+def test_cramer_check_fires_on_a_corrupted_solution(monkeypatch):
+    m = SkewMatrix([[q_minus(I), Poly1([J])], [Poly1([K]), q_minus(J)]])
+    rhs = [ONE_FRAC, ZERO_FRAC]
+    assert mat_vec(m, cramer_solve(m, rhs)) == rhs
+    _corrupt_first_pivot_unknown(monkeypatch)
+    with pytest.raises(InternalRealityViolation):
+        cramer_solve(m, rhs)
+
+
+def test_kernel_check_fires_on_a_corrupted_vector(monkeypatch):
+    lam = OreFrac.from_poly(Poly1([K]))
+    row = [OreFrac.from_poly(q_minus(I)), OreFrac.from_poly(q_minus(J))]
+    m = SkewMatrix([row, [lam * e for e in row]])
+    assert kernel_vector(m) is not None
+    _corrupt_first_pivot_unknown(monkeypatch)
+    with pytest.raises(InternalRealityViolation):
+        kernel_vector(m)
+
+
+def test_representative_cross_check_fires_on_a_corrupted_pivot(monkeypatch):
+    m = SkewMatrix([[q_minus(I), Poly1([J])], [Poly1([K]), q_minus(J)]])
+    assert not det(m).rep.is_zero
+    real = dieudonne._eliminate
+
+    def corrupted(work, ncols, rule):
+        pivots = real(work, ncols, rule)
+        p, col = pivots[0]
+        work[p][col] = work[p][col] * 2
+        return pivots
+
+    monkeypatch.setattr(dieudonne, "_eliminate", corrupted)
+    dc = det(m)
+    with pytest.raises(InternalRealityViolation):
+        dc.rep
