@@ -25,6 +25,8 @@ from .errors import (
 )
 from .exprio import (
     SCHEMA_VERSION,
+    _quat_json,
+    _real_json,
     lower,
     lower2,
     matrix_from_json,
@@ -115,40 +117,29 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _report_lines(report, latex: bool) -> list[str]:
+def _print_report(report, args) -> int:
+    if args.json:
+        _emit_json(report_to_json(report))
+        return 0
     var = _other(report.wrt)
     num, den = report.sdet
-    lines = [
-        f"wrt: {report.wrt}",
-        f"size: {report.sylvester.nrows}",
-        f"is_zero: {'true' if report.is_zero else 'false'}",
-        f"sdet_num: {_render_real(num, var, latex)}",
-        f"sdet_den: {_render_real(den, var, latex)}",
-    ]
     rep = report.representative
-    lines.append(f"representative: {'-' if rep is None else _render1(rep, var, latex)}")
-    return lines
+    print(f"wrt: {report.wrt}")
+    print(f"size: {report.sylvester.nrows}")
+    print(f"is_zero: {'true' if report.is_zero else 'false'}")
+    print(f"sdet_num: {_render_real(num, var, args.latex)}")
+    print(f"sdet_den: {_render_real(den, var, args.latex)}")
+    print(f"representative: {'-' if rep is None else _render1(rep, var, args.latex)}")
+    return 0
 
 
 def _cmd_res(args) -> int:
-    report = resultant(_parse_poly2(args.p), _parse_poly2(args.q), args.wrt)
-    if args.json:
-        _emit_json(report_to_json(report))
-    else:
-        for line in _report_lines(report, args.latex):
-            print(line)
-    return 0
+    return _print_report(resultant(_parse_poly2(args.p), _parse_poly2(args.q), args.wrt), args)
 
 
 def _cmd_disc(args) -> int:
     p = _parse_poly2(args.p)
-    report = discriminant_q1(p) if args.var == "q1" else discriminant_q2(p)
-    if args.json:
-        _emit_json(report_to_json(report))
-    else:
-        for line in _report_lines(report, args.latex):
-            print(line)
-    return 0
+    return _print_report(discriminant_q1(p) if args.var == "q1" else discriminant_q2(p), args)
 
 
 def _cmd_det(args) -> int:
@@ -166,7 +157,7 @@ def _cmd_det(args) -> int:
             "schema": "skewres/det",
             "version": SCHEMA_VERSION,
             "is_zero": dc.is_zero,
-            "sdet": {"num": [str(c) for c in num.coeffs], "den": [str(c) for c in den.coeffs]},
+            "sdet": {"num": _real_json(num), "den": _real_json(den)},
             "rep": {"den": poly1_to_json(rep.den)["coeffs"], "num": poly1_to_json(rep.num)["coeffs"]},
         }
         _emit_json(out)
@@ -196,7 +187,7 @@ def _cmd_eval(args) -> int:
         _emit_json({
             "schema": "skewres/value",
             "version": SCHEMA_VERSION,
-            "value": [str(result.w), str(result.x), str(result.y), str(result.z)],
+            "value": _quat_json(result),
         })
     else:
         print(_render_quat(result, args.latex))
@@ -261,20 +252,16 @@ def _cmd_factor(args) -> int:
     rep = check_left_factor_criterion(p, q, q1_candidates=q1_pts, q2_candidates=q2_pts)
     zero_doc = None
     if args.at is not None:
-        a, b = _parse_point(args.at)
-        cz = check_common_zero(p, q, a, b)
-        zero_doc = cz
+        zero_doc = check_common_zero(p, q, *_parse_point(args.at))
     if args.json:
         doc = {
             "schema": "skewres/criteria",
             "version": SCHEMA_VERSION,
             "q1_factors": [
-                {"point": [str(c) for c in (a.w, a.x, a.y, a.z)], "resultant_zero": flag}
-                for a, flag in rep.q1_factors
+                {"point": _quat_json(a), "resultant_zero": flag} for a, flag in rep.q1_factors
             ],
             "q2_factors": [
-                {"point": [str(c) for c in (a.w, a.x, a.y, a.z)], "resultant_zero": flag}
-                for a, flag in rep.q2_factors
+                {"point": _quat_json(a), "resultant_zero": flag} for a, flag in rep.q2_factors
             ],
             "holds": rep.holds,
         }
@@ -282,10 +269,8 @@ def _cmd_factor(args) -> int:
             doc["common_zero"] = {
                 "hypothesis_met": zero_doc.hypothesis_met,
                 "holds": zero_doc.holds,
-                "p_value": [str(c) for c in (zero_doc.p_value.w, zero_doc.p_value.x,
-                                             zero_doc.p_value.y, zero_doc.p_value.z)],
-                "q_value": [str(c) for c in (zero_doc.q_value.w, zero_doc.q_value.x,
-                                             zero_doc.q_value.y, zero_doc.q_value.z)],
+                "p_value": _quat_json(zero_doc.p_value),
+                "q_value": _quat_json(zero_doc.q_value),
             }
         _emit_json(doc)
     else:

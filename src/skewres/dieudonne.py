@@ -8,10 +8,12 @@ real polynomials obtained by symmetrizing any representative.
 
 Elimination uses only the two class-safe row operations: adding a left
 multiple of another row (invisible to the class) and extracting a pivot
-(which contributes its class as a left factor). One forward elimination,
-_eliminate, serves the determinant representative, Cramer solves, rank and
-kernels; one fraction-free Bareiss loop, _bareiss, serves the symmetrized
-determinant here and the classical resultant in resultant.py.
+(which contributes its class as a left factor). The forward elimination
+_eliminate and its _back_substitute live in polyone, where they also serve
+llcm over the quaternions; here they serve the determinant representative,
+Cramer solves, rank and kernels. One fraction-free Bareiss loop, _bareiss,
+serves the symmetrized determinant here and the classical resultant in
+resultant.py.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .polyone import (
     Poly1,
     RealPoly,
     ZERO_P,
+    _back_substitute,
+    _eliminate,
     left_divmod,
     real_div_exact,
     real_gcd,
@@ -328,54 +332,6 @@ def _phi_sdet(rows: list[list[Poly1]]) -> RealPoly:
     if coeffs and coeffs[-1] < 0:
         raise InternalRealityViolation("symmetrized determinant with negative lead")
     return RealPoly(coeffs)
-
-
-def _eliminate(work: list, ncols: int, rule) -> list[tuple[int, int]]:
-    """Forward elimination over the skew field, in place; returns the pivots.
-
-    Columns are taken left to right. In each, rule picks the pivot among the
-    unused rows with a nonzero entry (offered in their original order; rows
-    are never swapped) and every other unused row is cleared with a
-    left-multiple row addition, which is invisible to the determinant class.
-    A column with no candidate has no pivot. Rows longer than ncols carry
-    their extra entries (a right-hand side) along.
-    """
-    active = list(range(len(work)))
-    pivots = []
-    for col in range(ncols):
-        column = [(r, work[r][col]) for r in active if not work[r][col].is_zero]
-        if not column:
-            continue
-        p = rule(column)
-        pinv = work[p][col].inv()
-        for r in active:
-            if r == p:
-                continue
-            head = work[r][col]
-            if head.is_zero:
-                continue
-            factor = head * pinv
-            work[r] = [a - factor * b for a, b in zip(work[r], work[p])]
-        active.remove(p)
-        pivots.append((p, col))
-    return pivots
-
-
-def _back_substitute(work: list, pivots: list[tuple[int, int]], xs: list) -> None:
-    """Solve the eliminated rows for the pivot unknowns, last pivot first.
-
-    Pivot row p reads work[p][:n] . xs = work[p][n] for n = len(xs), with a
-    zero right-hand side when the row has no entry n. Free unknowns keep the
-    values already in xs.
-    """
-    n = len(xs)
-    for p, col in reversed(pivots):
-        row = work[p]
-        acc = row[n] if len(row) > n else ZERO_FRAC
-        for j in range(col + 1, n):
-            if not row[j].is_zero and not xs[j].is_zero:
-                acc = acc - row[j] * xs[j]
-        xs[col] = row[col].inv() * acc
 
 
 def _eliminate_rep(matrix: SkewMatrix, rule) -> OreFrac:

@@ -90,15 +90,12 @@ class OreFrac:
         other = _coerce_frac(other)
         if other is None:
             return NotImplemented
-        # Cross-multiplication through the common left multiple of the
-        # denominators; on canonical forms this agrees with structural
-        # equality (property-tested), which serves as the fast path.
-        if self.den == other.den:
-            return self.num == other.num
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        _, u, v = llcm(self.den, other.den)
-        return u * self.num == v * other.num
+        # The canonical form is unique, so equality is structural. With
+        # gcld(den, num) = 1 there are a, b with den*a + num*b = 1. For
+        # x = den^{-1} num, any polynomial d with d*x = n polynomial is then
+        # d = (d*a + n*b)*den: the monic den generates the left ideal of all
+        # denominators of x, and num = den*x is fixed with it.
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         return hash((self.den.coeffs, self.num.coeffs))

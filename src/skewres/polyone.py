@@ -11,7 +11,9 @@ right-handed Euclidean routines right_divmod, gcrd and lcrm are conj mirrors
 of left_divmod, gcld and llcm on the conjugated inputs.
 
 Also hosts RealPoly, the commutative subring of real-coefficient polynomials,
-used wherever symmetrizations land.
+used wherever symmetrizations land, and the one forward elimination over a
+skew field, _eliminate with _back_substitute: llcm runs it on quaternion
+constants here, and dieudonne runs it on left fractions.
 """
 
 from __future__ import annotations
@@ -291,13 +293,6 @@ def _pseudo_left_rem(f: Poly1, g: Poly1) -> Poly1:
     return Poly1(rem[:gd])
 
 
-def monic_left(f: Poly1) -> Poly1:
-    """Monic form via LEFT multiplication of coefficients by lc^{-1}."""
-    if f.is_zero:
-        return f
-    return f.scale_left(f.lc.inverse())
-
-
 def monic_right(f: Poly1) -> Poly1:
     """Monic form via RIGHT multiplication of coefficients by lc^{-1}."""
     if f.is_zero:
@@ -331,54 +326,73 @@ def gcld(f: Poly1, g: Poly1) -> Poly1:
     return monic_right(f)
 
 
-def _strip_row(row: list) -> list:
-    """Scale an equation to coprime integer components (solution-preserving)."""
-    w = _content_scale(_parts(row))
-    if w == 1:
-        return row
-    return [q * w for q in row]
+def _eliminate(work: list, ncols: int, rule) -> list[tuple[int, int]]:
+    """Forward elimination over a skew field, in place; returns the pivots.
+
+    Entries are field elements with a falsy zero and an inv() method:
+    quaternions here, left fractions in dieudonne. Columns are taken left to
+    right. In each, rule picks the pivot among the unused rows with a nonzero
+    entry (offered in their original order; rows are never swapped) and every
+    other unused row is cleared with a left-multiple row addition, which keeps
+    the right solutions and is invisible to the determinant class. A column
+    with no candidate has no pivot. Rows longer than ncols carry their extra
+    entries (a right-hand side) along.
+    """
+    active = list(range(len(work)))
+    pivots = []
+    for col in range(ncols):
+        column = [(r, work[r][col]) for r in active if work[r][col]]
+        if not column:
+            continue
+        p = rule(column)
+        pinv = work[p][col].inv()
+        for r in active:
+            if r == p:
+                continue
+            head = work[r][col]
+            if not head:
+                continue
+            factor = head * pinv
+            work[r] = [a - factor * b for a, b in zip(work[r], work[p])]
+        active.remove(p)
+        pivots.append((p, col))
+    return pivots
+
+
+def _back_substitute(work: list, pivots: list[tuple[int, int]], xs: list) -> None:
+    """Solve the eliminated rows for the pivot unknowns, last pivot first.
+
+    Pivot row p reads work[p][:n] . xs = work[p][n] for n = len(xs), with a
+    zero right-hand side when the row has no entry n (taken from xs: the
+    pivot unknowns are zero on entry). Free unknowns keep their values.
+    """
+    n = len(xs)
+    for p, col in reversed(pivots):
+        row = work[p]
+        acc = row[n] if len(row) > n else xs[col]
+        for j in range(col + 1, n):
+            if row[j] and xs[j]:
+                acc = acc - row[j] * xs[j]
+        xs[col] = row[col].inv() * acc
 
 
 def _quat_right_kernel(rows: list[list[Quaternion]]) -> "list[Quaternion] | None":
     """A nonzero solution of sum_s rows[r][s] x_s = 0, one equation per row.
 
-    Fraction-free Gaussian elimination: rows are cleared against the pivot p
-    with row = norm_sq(p) * row - (head * conj(p)) * pivot_row and re-stripped
-    to primitive integers, so no rational denominators ever appear; the only
-    true inverses happen in the final back-read of the pivot entries.
+    The shared elimination with the first candidate as pivot; the first free
+    column is set to 1, the later ones to 0, and back substitution fills in
+    the pivot columns.
     """
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    work = [_strip_row(list(r)) for r in rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prow = 0
-    for col in range(ncols):
-        hit = next(
-            (r for r in range(prow, nrows) if work[r][col]), None
-        )
-        if hit is None:
-            continue
-        work[prow], work[hit] = work[hit], work[prow]
-        p = work[prow][col]
-        nsq = p.norm_sq()
-        pconj = p.conj()
-        prow_vals = work[prow]
-        for r in range(nrows):
-            if r != prow and work[r][col]:
-                head_c = work[r][col] * pconj  # head_c * p == nsq * head
-                work[r] = _strip_row(
-                    [a * nsq - head_c * b for a, b in zip(work[r], prow_vals)]
-                )
-        pivots.append((prow, col))
-        prow += 1
-    pivot_cols = [c for _, c in pivots]
+    work = [list(r) for r in rows]
+    pivots = _eliminate(work, ncols, lambda column: column[0][0])
+    pivot_cols = {col for _, col in pivots}
     free = next((c for c in range(ncols) if c not in pivot_cols), None)
     if free is None:
         return None
     sol = [ZERO] * ncols
     sol[free] = ONE
-    for r, c in pivots:
-        sol[c] = -(work[r][c].inverse() * work[r][free])
+    _back_substitute(work, pivots, sol)
     return sol
 
 
@@ -386,9 +400,11 @@ def llcm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
     """Least common LEFT multiple with cofactors: (m, u, v), m = u*b = v*c.
 
     m is monic and deg m = deg b + deg c - deg gcrd(b, c). The cofactors are
-    the kernel of the constant coefficient matrix of u*b - v*c, found by
-    exact elimination; extended remainder chains would grow their cofactors
-    much faster than the result itself.
+    the kernel of the constant coefficient matrix of u*b - v*c, found by the
+    shared skew-field elimination over the quaternions; extended remainder
+    chains would grow their cofactors much faster than the result itself.
+    The kernel is one-dimensional (common left multiples of degree at most
+    deg m are constant multiples of m), and m = u*b = v*c is cross-checked.
     """
     if b.is_zero or c.is_zero:
         raise ZeroPolynomial("llcm needs nonzero inputs")

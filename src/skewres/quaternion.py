@@ -135,6 +135,8 @@ class Quaternion:
             raise DivisionByZero("zero quaternion has no inverse")
         return _mk(self.w / n, -self.x / n, -self.y / n, -self.z / n)
 
+    inv = inverse  # the name the skew-field elimination uses for every entry type
+
     def is_real(self) -> bool:
         return not (self.x or self.y or self.z)
 

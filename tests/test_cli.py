@@ -153,3 +153,38 @@ def test_selftest_all_pass(capsys):
     lines = [ln for ln in out.splitlines() if ln]
     assert lines and all(ln.startswith("PASS") for ln in lines)
     assert len(lines) >= 6
+
+
+def test_eval_and_factor_json_documents_are_pinned(capsys):
+    code, out, _ = run(capsys, "eval", "q^2 + q", "--at", "1/2+i", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "skewres/value", "version": 1, "value": ["-1/4", "2", "0", "0"],
+    }
+
+    code, out, _ = run(
+        capsys, "factor", GOLD_P, GOLD_Q, "--q1", "i", "--q2", "j", "--json", "--at", "i,3+4i"
+    )
+    assert code == 0
+    zero = ["0", "0", "0", "0"]
+    assert json.loads(out) == {
+        "schema": "skewres/criteria",
+        "version": 1,
+        "q1_factors": [{"point": ["0", "1", "0", "0"], "resultant_zero": True}],
+        "q2_factors": [],
+        "holds": True,
+        "common_zero": {
+            "hypothesis_met": True, "holds": True, "p_value": zero, "q_value": zero,
+        },
+    }
+
+    code, out, _ = run(
+        capsys, "factor", "(q1-i)*(q2-j) + 1", GOLD_Q, "--json", "--at", "1/2,3+4i"
+    )
+    assert code == 0
+    assert json.loads(out)["common_zero"] == {
+        "hypothesis_met": False,
+        "holds": None,
+        "p_value": ["13/2", "-1", "-1/2", "1"],
+        "q_value": ["11/2", "-1", "-1", "-1/2"],
+    }

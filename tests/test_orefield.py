@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from skewres import orefield
 from skewres.errors import DivisionByZero, ZeroPolynomial
 from skewres.orefield import ONE_FRAC, OreFrac, ZERO_FRAC
-from skewres.polyone import ONE_P, Poly1, RealPoly, ZERO_P, gcld
+from skewres.polyone import ONE_P, Poly1, RealPoly, ZERO_P, gcld, llcm
 from skewres.quaternion import I, J, ONE, Quaternion, Rational
 
 
@@ -88,6 +89,25 @@ def test_eq_is_cross_multiplication():
         g = rand_frac(rng)
         structural = f.den == g.den and f.num == g.num
         assert (f == g) == structural
+        # the second route: cross-multiply through the common left multiple
+        # of the denominators, u*f.den = v*g.den
+        _, u, v = llcm(f.den, g.den)
+        assert (f == g) == (u * f.num == v * g.num)
+
+
+def test_eq_needs_no_common_multiple(monkeypatch):
+    # built over different denominators: ((q-j)(q-i))^{-1} (q-j) = (q-i)^{-1}
+    inv_qi = OreFrac(q_minus(I), ONE_P)
+    same = OreFrac(q_minus(J) * q_minus(I), q_minus(J))
+    other = OreFrac(q_minus(J), ONE_P)
+
+    def refused(*args):
+        raise AssertionError("equality must not call llcm")
+
+    monkeypatch.setattr(orefield, "llcm", refused)
+    assert inv_qi == same
+    assert inv_qi != other
+    assert not (same == other)
 
 
 def test_embedding_is_a_ring_homomorphism():

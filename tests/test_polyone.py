@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from skewres.errors import RealArgument, ZeroPolynomial
+from skewres import polyone
+from skewres.errors import InternalRealityViolation, RealArgument, ZeroPolynomial
 from skewres.polyone import (
     ONE_P,
     Poly1,
@@ -18,7 +19,6 @@ from skewres.polyone import (
     lcrm,
     left_divmod,
     llcm,
-    monic_left,
     monic_right,
     real_div_exact,
     real_divmod,
@@ -159,10 +159,9 @@ def test_divide_by_zero_polynomial():
 
 def test_monic_normalizations():
     f = Poly1([J, I + K, 2 * I])
-    ml = monic_left(f)
     mr = monic_right(f)
-    assert ml.lc == ONE and mr.lc == ONE
-    assert monic_left(ml) == ml and monic_right(mr) == mr
+    assert mr.lc == ONE
+    assert monic_right(mr) == mr
 
 
 def test_gcrd_detects_planted_right_factor():
@@ -202,6 +201,19 @@ def test_llcm_frozen_example():
     assert m == Poly1([ONE, ZERO, ONE])  # q^2 + 1
     assert u == Poly1([I, ONE])  # q + i
     assert v == Poly1([J, ONE])  # q + j
+
+
+def test_llcm_cross_check_fires_on_a_corrupted_kernel(monkeypatch):
+    real = polyone._back_substitute
+
+    def corrupted(work, pivots, xs):
+        real(work, pivots, xs)
+        col = pivots[0][1]
+        xs[col] = xs[col] * 2
+
+    monkeypatch.setattr(polyone, "_back_substitute", corrupted)
+    with pytest.raises(InternalRealityViolation):
+        llcm(Poly1([-I, ONE]), Poly1([-J, ONE]))
 
 
 def test_llcm_properties():
