@@ -41,6 +41,7 @@ from .polyone import Poly1, RealPoly
 from .polytwo import Poly2
 from .quaternion import Quaternion
 from .resultant import (
+    _other,
     bezout_certificate,
     check_common_zero,
     check_left_factor_criterion,
@@ -107,10 +108,6 @@ def _render_real(rp: RealPoly, var: str, latex: bool) -> str:
 def _render_quat(c: Quaternion, latex: bool) -> str:
     p = Poly1((c,))
     return print_latex(p) if latex else print_poly(p)
-
-
-def _other(wrt: str) -> str:
-    return "q2" if wrt == "q1" else "q1"
 
 
 def _emit_json(doc) -> None:
@@ -395,10 +392,7 @@ def main(argv=None) -> int:
     except (NonCommutingPoint, SingularSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _VALIDATION_ERRORS as exc:
+    except (_CliError, *_VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,13 @@ multiple of another row (invisible to the class) and extracting a pivot
 (which contributes its class as a left factor). The forward elimination
 _eliminate and its _back_substitute live in polyone, where they also serve
 llcm over the quaternions; here they serve the determinant representative,
-Cramer solves, rank and kernels. One fraction-free Bareiss loop, _bareiss,
-serves the symmetrized determinant here and the classical resultant in
-resultant.py.
+Cramer solves, rank and kernels, and, run on constant quaternion matrices at
+rational points, the symmetrized determinant of a polynomial matrix.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (
     DimensionMismatch,
@@ -38,7 +39,7 @@ from .polyone import (
     real_gcd,
     right_divmod,
 )
-from .quaternion import Rational
+from .quaternion import Quaternion, Rational
 
 
 class SkewMatrix:
@@ -211,127 +212,49 @@ def det_class_of(rep: OreFrac) -> DetClass:
 ZERO_DET = det_class_of(ZERO_FRAC)
 
 
-# Complex polynomials, stored as tuples of (re, im) rational pairs, back the
-# fast symmetrized determinant: the 2x2 complex image of a quaternion extends
-# coefficient-wise to polynomials (the variable is central), and the classical
-# determinant of the 2n x 2n image equals sdet. Both maps are multiplicative
-# and they agree on diagonal matrices and transvections, which generate.
-
-_R0 = Rational(0)
-
-
-def _cp_trim(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and coeffs[n - 1][0] == 0 and coeffs[n - 1][1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+def _reduced_norm(mat: list[list[Quaternion]]) -> Rational:
+    """Reduced norm of a constant square quaternion matrix, in place: the
+    product of the pivot norms of one elimination, zero when a column has no
+    pivot (row additions leave it unchanged, pivots sit on a triangle)."""
+    pivots = _eliminate(mat, len(mat), lambda column: column[0][0])
+    if len(pivots) < len(mat):
+        return Rational(0)
+    return math.prod((mat[p][col].norm_sq() for p, col in pivots), start=Rational(1))
 
 
-def _cp_sub(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for t in range(n):
-        ar, ai = a[t] if t < len(a) else (_R0, _R0)
-        br, bi = b[t] if t < len(b) else (_R0, _R0)
-        out.append((ar - br, ai - bi))
-    return _cp_trim(out)
+def _newton_interpolate(ts: list, values: list) -> RealPoly:
+    """The polynomial of degree below len(ts) through the points (t, value)."""
+    diffs = list(values)
+    for level in range(1, len(ts)):
+        for i in range(len(ts) - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (ts[i] - ts[i - level])
+    poly = RealPoly()
+    for t, c in zip(reversed(ts), reversed(diffs)):
+        poly = poly * RealPoly((-t, 1)) + c
+    return poly
 
 
-def _cp_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [[_R0, _R0] for _ in range(len(a) + len(b) - 1)]
-    for s, (ar, ai) in enumerate(a):
-        if ar == 0 and ai == 0:
-            continue
-        for t, (br, bi) in enumerate(b):
-            cell = out[s + t]
-            cell[0] += ar * br - ai * bi
-            cell[1] += ar * bi + ai * br
-    return _cp_trim([tuple(c) for c in out])
+def _points_sdet(rows: list[list[Poly1]]) -> RealPoly:
+    """sdet of a square polynomial-entry matrix, interpolated from values.
 
-
-def _cp_div_exact(a: tuple, b: tuple) -> tuple:
-    """Quotient of complex polynomials that is known to divide evenly."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    br, bi = b[-1]
-    nsq = br * br + bi * bi
-    lr, li = br / nsq, -bi / nsq
-    rem = list(a)
-    out = [(_R0, _R0)] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        tr, ti = rem[shift + len(b) - 1]
-        if tr == 0 and ti == 0:
-            continue
-        cr, ci = tr * lr - ti * li, tr * li + ti * lr
-        out[shift] = (cr, ci)
-        for t, (pr, pi) in enumerate(b):
-            rr, ri = rem[shift + t]
-            rem[shift + t] = (rr - (cr * pr - ci * pi), ri - (cr * pi + ci * pr))
-    if any(r != 0 or i != 0 for r, i in rem):
-        raise InternalRealityViolation("inexact division in the Bareiss ladder")
-    return _cp_trim(out)
-
-
-def _phi_blocks(poly: Poly1) -> tuple:
-    """The 2x2 complex-polynomial image of a quaternion polynomial."""
-    alpha = _cp_trim([(c.w, c.x) for c in poly.coeffs])
-    beta = _cp_trim([(c.y, c.z) for c in poly.coeffs])
-    alpha_c = tuple((r, -i) for r, i in alpha)
-    beta_neg_c = tuple((-r, i) for r, i in beta)
-    return alpha, beta, beta_neg_c, alpha_c
-
-
-def _bareiss(mat: list, mul, sub, div_exact) -> tuple:
-    """Fraction-free elimination (Bareiss 1968) of a nonempty square matrix
-    over a commutative domain whose zero is falsy; works in place.
-
-    Returns (sign, last) with determinant sign * last; last is the zero
-    element when a column has no pivot.
+    The variable is central, so evaluation at a rational t is a ring map
+    H[q] -> H and sdet(t) is the reduced norm of the constant matrix at t.
+    sdet is the determinant of the 2n x 2n complex image, which doubles each
+    row and column of the same degree, so deg sdet is at most
+    D = 2 min(sum of row degrees, sum of column degrees): the values at
+    t = 0, 1, -1, 2, -2, ... give sdet from the first D + 1 points, and the
+    next point checks it.
     """
-    size = len(mat)
-    sign = 1
-    prev = None
-    for k in range(size - 1):
-        if not mat[k][k]:
-            swap = next((r for r in range(k + 1, size) if mat[r][k]), None)
-            if swap is None:
-                return sign, mat[k][k]
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, size):
-            head = mat[i][k]
-            row = mat[i]
-            for j in range(k + 1, size):
-                term = sub(mul(pivot, row[j]), mul(head, mat[k][j]))
-                row[j] = term if prev is None else div_exact(term, prev)
-        prev = pivot
-    return sign, mat[size - 1][size - 1]
-
-
-def _phi_sdet(rows: list[list[Poly1]]) -> RealPoly:
-    """sdet of a polynomial-entry matrix via Bareiss on the complex image."""
-    n = len(rows)
-    if n == 0:
-        return RealPoly([1])
-    size = 2 * n
-    mat = [[() for _ in range(size)] for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = _phi_blocks(rows[i][j])
-            mat[2 * i][2 * j] = a
-            mat[2 * i][2 * j + 1] = b
-            mat[2 * i + 1][2 * j] = c
-            mat[2 * i + 1][2 * j + 1] = d
-    sign, final = _bareiss(mat, _cp_mul, _cp_sub, _cp_div_exact)
-    if any(i != 0 for _, i in final):
-        raise InternalRealityViolation("complex-image determinant is not real")
-    coeffs = [sign * r for r, _ in final]
-    if coeffs and coeffs[-1] < 0:
+    degs = [[max(e.degree, 0) for e in row] for row in rows]
+    bound = 2 * min(sum(map(max, degs)), sum(map(max, zip(*degs))))
+    ts = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 2)]
+    values = [_reduced_norm([[e.eval(t) for e in row] for row in rows]) for t in ts]
+    sdet = _newton_interpolate(ts[:-1], values[:-1])
+    if sdet.eval(ts[-1]) != values[-1]:
+        raise InternalRealityViolation("symmetrized determinant misses its check point")
+    if sdet.coeffs and sdet.coeffs[-1] < 0:
         raise InternalRealityViolation("symmetrized determinant with negative lead")
-    return RealPoly(coeffs)
+    return sdet
 
 
 def _eliminate_rep(matrix: SkewMatrix, rule) -> OreFrac:
@@ -355,15 +278,16 @@ def det(matrix: SkewMatrix, pivot_rule=None) -> DetClass:
 
     pivot_rule, when given, maps a nonzero (row, entry) list to a row index;
     the class does not depend on the choice. For matrices with polynomial
-    entries and the default rule, sdet comes from the complex image and the
-    representative is deferred until read (and checked against sdet then).
+    entries and the default rule, sdet is interpolated from reduced norms at
+    rational points and the representative is deferred until read (and
+    checked against sdet then).
     """
     if matrix.nrows != matrix.ncols:
         raise NonSquare(f"determinant of a {matrix.nrows}x{matrix.ncols} matrix")
     if pivot_rule is None and all(
         e.den == ONE_P for row in matrix.entries for e in row
     ):
-        sdet_num = _phi_sdet([[e.num for e in row] for row in matrix.entries])
+        sdet_num = _points_sdet([[e.num for e in row] for row in matrix.entries])
         sdet_den = RealPoly([1])
 
         def rep_thunk() -> OreFrac:
@@ -371,7 +295,7 @@ def det(matrix: SkewMatrix, pivot_rule=None) -> DetClass:
             den_s, num_s = rep.symm_frac()
             if reduce_real_pair(num_s, den_s) != (sdet_num, sdet_den):
                 raise InternalRealityViolation(
-                    "elimination representative disagrees with the complex image"
+                    "elimination representative disagrees with the point values"
                 )
             return rep
 

@@ -13,7 +13,8 @@ of left_divmod, gcld and llcm on the conjugated inputs.
 Also hosts RealPoly, the commutative subring of real-coefficient polynomials,
 used wherever symmetrizations land, and the one forward elimination over a
 skew field, _eliminate with _back_substitute: llcm runs it on quaternion
-constants here, and dieudonne runs it on left fractions.
+constants here, and dieudonne runs it on left fractions and, for the
+symmetrized determinant, on quaternion matrices at rational points.
 """
 
 from __future__ import annotations
@@ -330,13 +331,13 @@ def _eliminate(work: list, ncols: int, rule) -> list[tuple[int, int]]:
     """Forward elimination over a skew field, in place; returns the pivots.
 
     Entries are field elements with a falsy zero and an inv() method:
-    quaternions here, left fractions in dieudonne. Columns are taken left to
-    right. In each, rule picks the pivot among the unused rows with a nonzero
-    entry (offered in their original order; rows are never swapped) and every
-    other unused row is cleared with a left-multiple row addition, which keeps
-    the right solutions and is invisible to the determinant class. A column
-    with no candidate has no pivot. Rows longer than ncols carry their extra
-    entries (a right-hand side) along.
+    quaternions or left fractions. Columns are taken left to right. In each,
+    rule picks the pivot among the unused rows with a nonzero entry (offered
+    in their original order; rows are never swapped) and every other unused
+    row is cleared with a left-multiple row addition, which keeps the right
+    solutions and is invisible to the determinant class. A column with no
+    candidate has no pivot. Rows longer than ncols carry their extra entries
+    (a right-hand side) along.
     """
     active = list(range(len(work)))
     pivots = []

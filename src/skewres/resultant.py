@@ -8,13 +8,11 @@ cofactors, discriminants) is built on that matrix.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .dieudonne import (
     DetClass,
     SkewMatrix,
-    _bareiss,
     cramer_solve,
     det,
     kernel_vector,
@@ -325,8 +323,23 @@ def classical_resultant(av: list[RealPoly], bv: list[RealPoly]) -> RealPoly:
         rows.append(row)
     if not rows:
         return RealPoly((1,))
-    sign, last = _bareiss(rows, operator.mul, operator.sub, real_div_exact)
-    return sign * last
+    # fraction-free elimination (Bareiss 1968): every division is exact
+    size = len(rows)
+    sign, prev = 1, RealPoly((1,))
+    for k in range(size - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
+            if swap is None:
+                return RealPoly()
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for row in rows[k + 1 :]:
+            head = row[k]
+            for j in range(k + 1, size):
+                row[j] = real_div_exact(pivot * row[j] - head * rows[k][j], prev)
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 @dataclass(frozen=True)

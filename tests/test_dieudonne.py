@@ -434,10 +434,45 @@ def test_representative_cross_check_fires_on_a_corrupted_pivot(monkeypatch):
     def corrupted(work, ncols, rule):
         pivots = real(work, ncols, rule)
         p, col = pivots[0]
-        work[p][col] = work[p][col] * 2
+        # sdet runs the same elimination on quaternions at points; corrupt
+        # only the fraction pivots, so the representative alone goes wrong
+        if isinstance(work[p][col], OreFrac):
+            work[p][col] = work[p][col] * 2
         return pivots
 
     monkeypatch.setattr(dieudonne, "_eliminate", corrupted)
     dc = det(m)
     with pytest.raises(InternalRealityViolation):
         dc.rep
+
+
+def _corrupt_point_values(monkeypatch, change):
+    real = dieudonne._reduced_norm
+    calls = []
+
+    def corrupted(mat):
+        calls.append(mat)
+        return change(len(calls), real(mat))
+
+    monkeypatch.setattr(dieudonne, "_reduced_norm", corrupted)
+    return calls
+
+
+def test_sdet_check_point_fires_on_a_corrupted_value(monkeypatch):
+    m = SkewMatrix([[q_minus(I), Poly1([J])], [Poly1([K]), q_minus(J)]])
+    assert not det(m).is_zero
+    # one wrong value among the interpolated points moves the interpolant
+    # off the check point
+    calls = _corrupt_point_values(monkeypatch, lambda k, v: v + 1 if k == 1 else v)
+    with pytest.raises(InternalRealityViolation, match="check point"):
+        det(m)
+    # degree bound D = 2 * 2, so D + 1 interpolated points and one check
+    assert len(calls) == 2 * 2 + 2
+
+
+def test_sdet_lead_check_fires_on_negated_values(monkeypatch):
+    m = SkewMatrix([[q_minus(I), Poly1([J])], [Poly1([K]), q_minus(J)]])
+    # negating every value passes the check point but not the sign of the lead
+    _corrupt_point_values(monkeypatch, lambda k, v: -v)
+    with pytest.raises(InternalRealityViolation, match="negative lead"):
+        det(m)

@@ -1,16 +1,20 @@
 """Resultants in two variables: Sylvester matrices, certificates, criteria."""
 
+import importlib
 import random
 
 import pytest
 import sympy
 
+from skewres.dieudonne import SkewMatrix, _min_degree_pivot, det
 from skewres.errors import (
     DegreeTooLow,
+    InternalRealityViolation,
     NonCommutingPoint,
     SingularSystem,
     ZeroPolynomial,
 )
+from skewres.orefield import OreFrac
 from skewres.polyone import ONE_P, Poly1, RealPoly, ZERO_P, real_divmod
 from skewres.polytwo import VAR_Q1, VAR_Q2, Poly2
 from skewres.quaternion import I, J, K, ONE, ZERO, Quaternion, Rational
@@ -30,6 +34,8 @@ from skewres.resultant import (
     sylvester_q2,
     symmetrized_resultant_criterion,
 )
+
+res_mod = importlib.import_module("skewres.resultant")
 
 
 def rand_quat(rng, span=2):
@@ -237,32 +243,47 @@ def test_symmetrized_resultant_criterion():
     assert rep2.classical is None and rep2.holds is None
 
 
+def _sympy_resultant(av, bv):
+    x, y = sympy.symbols("x y")
+
+    def poly(views):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * x**k * y**n
+            for n, v in enumerate(views)
+            for k, c in enumerate(v.coeffs)
+        )
+
+    want = sympy.resultant(sympy.Poly(poly(av), y), sympy.Poly(poly(bv), y), y)
+    return sympy.Poly(sympy.expand(want), x)
+
+
+def _assert_classical_matches_sympy(av, bv):
+    ours = classical_resultant(av, bv)
+    want = _sympy_resultant(av, bv)
+    x = sympy.Symbol("x")
+    got = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(ours.coeffs))
+    assert sympy.expand(got - want.as_expr()) == 0
+    return ours
+
+
 def test_classical_resultant_matches_sympy():
     rng = random.Random(17)
-    x = sympy.Symbol("x")
     for _ in range(8):
         av = [RealPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) for _ in range(3)]
         bv = [RealPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) for _ in range(3)]
         if av[-1].is_zero or bv[-1].is_zero:
             continue
-        ours = classical_resultant(av, bv)
-        y = sympy.Symbol("y")
-        fa = sum(
-            sum(sympy.Integer(c.numerator) / sympy.Integer(c.denominator) * x**k for k, c in enumerate(v.coeffs))
-            * y**n
-            for n, v in enumerate(av)
-        )
-        fb = sum(
-            sum(sympy.Integer(c.numerator) / sympy.Integer(c.denominator) * x**k for k, c in enumerate(v.coeffs))
-            * y**n
-            for n, v in enumerate(bv)
-        )
-        want = sympy.expand(sympy.resultant(sympy.Poly(fa, y), sympy.Poly(fb, y), y))
-        got = sum(
-            sympy.Integer(c.numerator) / sympy.Integer(c.denominator) * x**k
-            for k, c in enumerate(ours.coeffs)
-        )
-        assert sympy.expand(got - want) == 0
+        _assert_classical_matches_sympy(av, bv)
+    # a zero constant view leaves the first pivot zero, so rows are swapped:
+    # a = x y^2 + (x + 1) y, b = 3 y^2 + x y + (1 + 2x)
+    av = [RealPoly(), RealPoly([1, 1]), RealPoly([0, 1])]
+    bv = [RealPoly([1, 2]), RealPoly([0, 1]), RealPoly([3])]
+    assert not _assert_classical_matches_sympy(av, bv).is_zero
+    # a shared factor (y - x) makes the resultant vanish:
+    # a = (y - x)(y + 1), b = (y - x)(y + 2)
+    av = [RealPoly([0, -1]), RealPoly([1, -1]), RealPoly([1])]
+    bv = [RealPoly([0, -2]), RealPoly([2, -1]), RealPoly([1])]
+    assert _assert_classical_matches_sympy(av, bv).is_zero
 
 
 def test_discriminants_crossed_pairing():
@@ -293,3 +314,98 @@ def test_report_repr_stays_lazy():
     assert r._rep_known is False
     r.representative
     assert r._rep_known is True
+
+
+def _sympy_image_det(matrix, t):
+    """det of the 2n x 2n complex image of a polynomial matrix at t, by sympy."""
+    rows = []
+    for row in matrix.entries:
+        top, bottom = [], []
+        for entry in row:
+            alpha = beta = sympy.Integer(0)
+            for n, c in enumerate(entry.num.coeffs):
+                w, x, y, z = (sympy.Rational(v.numerator, v.denominator) for v in (c.w, c.x, c.y, c.z))
+                alpha += (w + sympy.I * x) * t**n
+                beta += (y + sympy.I * z) * t**n
+            top += [alpha, beta]
+            bottom += [-sympy.conjugate(beta), sympy.conjugate(alpha)]
+        rows += [top, bottom]
+    return sympy.expand(sympy.Matrix(rows).det()) if rows else sympy.Integer(1)
+
+
+def test_sdet_agrees_with_two_independent_routes():
+    rng = random.Random(59)
+    mats = []
+    for var in ("q1", "q2"):
+        for d_p, d_q in ((1, 1), (2, 1), (1, 2)):
+            mats.append(sylvester(rand_poly2(rng, d_p, 1), rand_poly2(rng, d_q, 1), var))
+        a = rand_quat(rng, 1)
+        planted = [linear(var, a) * rand_poly2(rng, 1, 1) for _ in range(2)]
+        mats.append(sylvester(*planted, var))
+    # orders 0 and 1
+    mats.append(sylvester(linear("q2", J), linear("q2", K), "q1"))
+    mats.append(sylvester(P_GOLD, linear("q2", K), "q1"))
+    # an all-zero row, and rational coefficients
+    f = Poly1([-I, ONE])
+    mats.append(SkewMatrix([[f, Poly1([J])], [ZERO_P, ZERO_P]]))
+    half = Rational(1, 2)
+    g = Poly1([Quaternion(half, 0, Rational(-2, 3), 1), Quaternion(0, half, 0, 0)])
+    mats.append(SkewMatrix([[g, f], [Poly1([Quaternion(Rational(3, 4))]), g * f]]))
+    points = (Rational(1, 2), Rational(-7, 3))
+    zeros = 0
+    for m in mats:
+        dc = det(m)
+        assert dc.sdet_den == RealPoly([1])
+        # route 1: symmetrize the elimination representative over fractions
+        assert det(m, pivot_rule=_min_degree_pivot).sdet == dc.sdet
+        # route 2: the classical determinant of the complex image at points
+        for t in points:
+            value = dc.sdet_num.eval(t)
+            assert _sympy_image_det(m, sympy.Rational(t.numerator, t.denominator)) == sympy.Rational(
+                value.numerator, value.denominator
+            )
+        zeros += dc.is_zero
+    assert [m.nrows for m in mats[-4:]] == [0, 1, 2, 2]
+    assert zeros == 3
+
+
+def _corrupt_cleared_polys(monkeypatch):
+    real = res_mod._clear_right
+
+    def corrupted(vec):
+        polys, t = real(vec)
+        return [polys[0] + ONE_P] + polys[1:], t
+
+    monkeypatch.setattr(res_mod, "_clear_right", corrupted)
+
+
+def test_bezout_identity_check_fires_on_corrupted_cofactors(monkeypatch):
+    bezout_certificate(P_GOLD, Q_GOLD, "q2")
+    _corrupt_cleared_polys(monkeypatch)
+    with pytest.raises(InternalRealityViolation, match="combination"):
+        bezout_certificate(P_GOLD, Q_GOLD, "q2")
+
+
+def test_bezout_divisibility_check_fires_without_the_extra_factor(monkeypatch):
+    bezout_certificate(P_GOLD, Q_GOLD, "q2")
+    # a gcd claiming that sdet already divides symm(t) drops the extra
+    # central factor; the identity still holds, the divisibility does not
+    monkeypatch.setattr(res_mod, "real_gcd", lambda f, g: g)
+    with pytest.raises(InternalRealityViolation, match="sdet factor"):
+        bezout_certificate(P_GOLD, Q_GOLD, "q2")
+
+
+def test_kernel_identity_check_fires_on_corrupted_cofactors(monkeypatch):
+    assert kernel_cofactors(P_GOLD, Q_GOLD, "q1") is not None
+    _corrupt_cleared_polys(monkeypatch)
+    with pytest.raises(InternalRealityViolation, match="combination"):
+        kernel_cofactors(P_GOLD, Q_GOLD, "q1")
+
+
+def test_clear_right_check_fires_on_a_wrong_multiplier(monkeypatch):
+    vec = [OreFrac(Poly1([-I, ONE]), Poly1([J]))]
+    polys, t = res_mod._clear_right(vec)
+    assert (vec[0] * t).num == polys[0]
+    monkeypatch.setattr(res_mod, "lcrm", lambda b, c: (ONE_P, ONE_P, ONE_P))
+    with pytest.raises(InternalRealityViolation, match="clearing"):
+        res_mod._clear_right(vec)
