@@ -12,7 +12,9 @@ multiple of another row (invisible to the class) and extracting a pivot
 _eliminate and its _back_substitute live in polyone, where they also serve
 llcm over the quaternions; here they serve the determinant representative,
 Cramer solves, rank and kernels, and, run on constant quaternion matrices at
-rational points, the symmetrized determinant of a polynomial matrix.
+rational points, the symmetrized determinant of a polynomial matrix. Only
+the representative depends on the pivot choice, so only det weighs its
+candidates (_min_degree_pivot); every other caller takes the first one.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .polyone import (
     ZERO_P,
     _back_substitute,
     _eliminate,
+    _first_pivot,
     left_divmod,
     real_div_exact,
     real_gcd,
@@ -127,18 +130,16 @@ class SkewMatrix:
             raise IndexOutOfRange("row operation needs two distinct rows")
 
 
-def _frac_weight(f: OreFrac) -> int:
-    return f.num.degree + f.den.degree
-
-
 def _min_degree_pivot(column) -> int:
-    """Default pivot rule: minimal deg(num)+deg(den), ties to the lowest row.
+    """det's pivot rule: minimal deg(num)+deg(den), ties to the lowest row.
 
-    column is a list of (row_index, fraction) with nonzero fractions.
+    column is a list of (row_index, fraction) with nonzero fractions. The
+    class does not depend on the rule, but the representative does, and this
+    rule fixes it; weighing reads every candidate's canonical left form.
     """
     best_row, best_weight = None, None
     for row, frac in column:
-        w = _frac_weight(frac)
+        w = frac.num.degree + frac.den.degree
         if best_weight is None or w < best_weight:
             best_row, best_weight = row, w
     return best_row
@@ -221,7 +222,7 @@ def _reduced_norm(mat: list[list[Quaternion]]) -> Rational:
     """Reduced norm of a constant square quaternion matrix, in place: the
     product of the pivot norms of one elimination, zero when a column has no
     pivot (row additions leave it unchanged, pivots sit on a triangle)."""
-    pivots = _eliminate(mat, len(mat), lambda column: column[0][0])
+    pivots = _eliminate(mat, len(mat), _first_pivot)
     if len(pivots) < len(mat):
         return Rational(0)
     return math.prod((mat[p][col].norm_sq() for p, col in pivots), start=Rational(1))
@@ -282,7 +283,8 @@ def det(matrix: SkewMatrix, pivot_rule=None) -> DetClass:
     """Dieudonne determinant class.
 
     pivot_rule, when given, maps a nonzero (row, entry) list to a row index;
-    the class does not depend on the choice. For matrices with polynomial
+    the class does not depend on the choice, the representative does, and
+    the default _min_degree_pivot pins it. For matrices with polynomial
     entries and the default rule, sdet is interpolated from reduced norms at
     rational points and the representative is deferred until read (and
     checked against sdet then).
@@ -385,8 +387,9 @@ def mat_vec(matrix: SkewMatrix, vec: list) -> list[OreFrac]:
 def cramer_solve(matrix: SkewMatrix, rhs: list) -> list[OreFrac]:
     """Solve A x = b over the skew field (entries act from the left).
 
-    The shared forward elimination with the minimal-degree pivot rule, then
-    back substitution; raises SingularSystem when the matrix has no inverse.
+    The shared forward elimination with the first candidate as pivot (the
+    solution is unique, so the choice cannot change it), then back
+    substitution; raises SingularSystem when the matrix has no inverse.
     The solution is verified exactly before being returned.
     """
     n = matrix.nrows
@@ -396,7 +399,7 @@ def cramer_solve(matrix: SkewMatrix, rhs: list) -> list[OreFrac]:
         raise DimensionMismatch(f"rhs of length {len(rhs)} for size {n}")
     rhs = [_coerce_frac(v) for v in rhs]
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix.entries)]
-    pivots = _eliminate(aug, n, _min_degree_pivot)
+    pivots = _eliminate(aug, n, _first_pivot)
     if len(pivots) < n:
         raise SingularSystem("matrix is singular over the skew field")
     xs: list[OreFrac] = [ZERO_FRAC] * n
@@ -407,19 +410,21 @@ def cramer_solve(matrix: SkewMatrix, rhs: list) -> list[OreFrac]:
 
 
 def rank(matrix: SkewMatrix) -> int:
-    return len(_eliminate([list(row) for row in matrix.entries], matrix.ncols, _min_degree_pivot))
+    return len(_eliminate([list(row) for row in matrix.entries], matrix.ncols, _first_pivot))
 
 
 def kernel_vector(matrix: SkewMatrix) -> "list[OreFrac] | None":
     """A nonzero right-kernel vector (A x = 0), or None when the kernel is 0.
 
     The first free column is set to 1 and the later ones to 0; back
-    substitution fills in the pivot columns. Solutions are closed under right
+    substitution fills in the pivot columns. The pivot columns are where the
+    rank of the leading columns rises, so that vector is unique and the first
+    candidate serves as pivot. Solutions are closed under right
     multiplication, so any denominator can later be cleared on the right
     without leaving the kernel.
     """
     work = [list(row) for row in matrix.entries]
-    pivots = _eliminate(work, matrix.ncols, _min_degree_pivot)
+    pivots = _eliminate(work, matrix.ncols, _first_pivot)
     pivot_cols = {col for _, col in pivots}
     free = [c for c in range(matrix.ncols) if c not in pivot_cols]
     if not free:

@@ -589,11 +589,11 @@ def matrix_from_json(doc):
     return SkewMatrix(rows)
 
 
-def report_to_json(report, include_representative: bool = True) -> dict:
-    """ResultantReport as a JSON document; representative extraction is the
-    only potentially slow field and can be switched off."""
+def report_to_json(report) -> dict:
+    """ResultantReport as a JSON document, representative included."""
     num, den = report.sdet
-    doc = {
+    rep = report.representative
+    return {
         "schema": "skewres/resultant",
         "version": SCHEMA_VERSION,
         "wrt": report.wrt,
@@ -601,8 +601,5 @@ def report_to_json(report, include_representative: bool = True) -> dict:
         "is_zero": report.is_zero,
         "sdet": {"num": _real_json(num), "den": _real_json(den)},
         "sylvester": matrix_to_json(report.sylvester),
+        "representative": None if rep is None else poly1_to_json(rep),
     }
-    if include_representative:
-        rep = report.representative
-        doc["representative"] = None if rep is None else poly1_to_json(rep)
-    return doc

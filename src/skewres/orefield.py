@@ -13,7 +13,8 @@ conj(n)*d / symm(n); none of them needs a common left multiple or a gcld.
 
 The canonical left form den^{-1} * num (den monic, gcld(den, num) = 1), which
 the public attributes den and num, repr and the matrix JSON show, is a view
-built on first read with one gcld and kept.
+built on first read with one gcld and kept. Solves and certificates read only
+the central form.
 """
 
 from __future__ import annotations

@@ -377,6 +377,13 @@ def _back_substitute(work: list, pivots: list[tuple[int, int]], xs: list) -> Non
         xs[col] = row[col].inv() * acc
 
 
+def _first_pivot(column) -> int:
+    """Pivot rule: the first candidate row. Where the pivot choice cannot
+    change the result (reduced norms, Cramer solutions, rank, kernels with
+    the first free column 1), it saves weighing every candidate."""
+    return column[0][0]
+
+
 def _quat_right_kernel(rows: list[list[Quaternion]]) -> "list[Quaternion] | None":
     """A nonzero solution of sum_s rows[r][s] x_s = 0, one equation per row.
 
@@ -386,7 +393,7 @@ def _quat_right_kernel(rows: list[list[Quaternion]]) -> "list[Quaternion] | None
     """
     ncols = len(rows[0]) if rows else 0
     work = [list(r) for r in rows]
-    pivots = _eliminate(work, ncols, lambda column: column[0][0])
+    pivots = _eliminate(work, ncols, _first_pivot)
     pivot_cols = {col for _, col in pivots}
     free = next((c for c in range(ncols) if c not in pivot_cols), None)
     if free is None:
@@ -587,16 +594,6 @@ class RealPoly:
         return RealPoly(out)
 
     __rmul__ = __mul__
-
-    def pow(self, n: int) -> "RealPoly":
-        result = RealPoly((_R1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def monic(self) -> "RealPoly":
         if self.is_zero:

@@ -117,6 +117,11 @@ class Poly2:
     def coeffs_in(self, var: str) -> list[Poly1]:
         return self.coeffs_in_q1() if var == "q1" else self.coeffs_in_q2()
 
+    @staticmethod
+    def from_coeffs_in(views: list[Poly1], var: str) -> "Poly2":
+        """Rebuild from the view in var, the inverse of coeffs_in."""
+        return Poly2.from_q1_coeffs(views) if var == "q1" else Poly2.from_q2_coeffs(views)
+
     def __repr__(self) -> str:
         return f"Poly2({[list(r) for r in self.coeffs]!r})"
 
@@ -282,7 +287,7 @@ def factor_left_linear(p: Poly2, a: Quaternion, var: str) -> "Poly2 | None":
         xs[n - 1] = views[n] + xs[n].scale_left(a)
     if not (views[0] + xs[0].scale_left(a)).is_zero:
         return None
-    return Poly2.from_q1_coeffs(xs) if var == "q1" else Poly2.from_q2_coeffs(xs)
+    return Poly2.from_coeffs_in(xs, var)
 
 
 def left_linear_multiplicity(p: Poly2, a: Quaternion, var: str) -> tuple[int, "Poly2"]:

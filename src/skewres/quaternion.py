@@ -147,18 +147,6 @@ class Quaternion:
         """True when the square is -1: zero real part and unit imaginary norm."""
         return (not self.w) and self.imag_norm_sq() == 1
 
-    def pow(self, n: int) -> "Quaternion":
-        if n < 0:
-            return self.inverse().pow(-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
 
 def _cleared(items) -> tuple[int, list]:
     """The common denominator of the nonzero (index, quaternion) items, and

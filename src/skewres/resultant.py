@@ -26,7 +26,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .orefield import ONE_FRAC, ZERO_FRAC, OreFrac
-from .polyone import ONE_P, ZERO_P, Poly1, RealPoly, lcrm, real_div_exact, real_divmod, real_gcd
+from .polyone import ZERO_P, Poly1, RealPoly, real_div_exact, real_divmod, real_gcd
 from .polytwo import Poly2, factor_left_linear
 from .quaternion import Quaternion
 
@@ -39,11 +39,6 @@ def _check_var(wrt: str) -> str:
 
 def _other(wrt: str) -> str:
     return "q2" if wrt == "q1" else "q1"
-
-
-def _assemble(views: list[Poly1], wrt: str) -> Poly2:
-    # views[j] is the coefficient of wrt^j, a polynomial in the other variable
-    return Poly2.from_q1_coeffs(views) if wrt == "q1" else Poly2.from_q2_coeffs(views)
 
 
 def sylvester(p: Poly2, q: Poly2, wrt: str) -> SkewMatrix:
@@ -128,7 +123,7 @@ class BezoutCertificate:
 
     h stays below deg_wrt(q) and k below deg_wrt(p) in the eliminated
     variable; target is a polynomial in the other variable alone (zero for
-    kernel cofactors, nonzero for Bezout certificates).
+    kernel cofactors, nonzero and real for Bezout certificates).
     """
 
     wrt: str
@@ -137,26 +132,23 @@ class BezoutCertificate:
     target: Poly1
 
 
-def _clear_right(vec: list[OreFrac]) -> tuple[list[Poly1], Poly1]:
-    """Common right multiplier landing every left fraction in H[q].
+def _clear_right(vec: list[OreFrac]) -> tuple[list[Poly1], RealPoly]:
+    """Common right multiplier landing every fraction in H[q].
 
-    For d^{-1}n with lcrm(n, d) = (lcm, u, v) the identity n*u = d*v gives
-    d^{-1}n * u = v, a polynomial; one left-to-right pass suffices because
-    later factors only multiply components that are already polynomial.
+    Each fraction is stored as d^{-1}n with a real, central d, so the monic
+    real lcm t of the d clears them all: d^{-1}n * t = n * (t/d).
     """
-    t = ONE_P
+    t = RealPoly([1])
     for f in vec:
-        g = f * t
-        if g.is_poly:
-            continue
-        _, u, _ = lcrm(g.num, g.den)
-        t = t * u
+        # not real_div_exact: a wrong lcm must surface as the internal
+        # fault below, not as the ZeroPolynomial of bad input
+        t = t * real_divmod(f.cden, real_gcd(t, f.cden))[0]
     out = []
     for f in vec:
-        g = f * t
-        if not g.is_poly:
+        quot, rem = real_divmod(t, f.cden)
+        if not rem.is_zero:
             raise InternalRealityViolation("right denominator clearing failed")
-        out.append(g.num)
+        out.append(f.cnum * quot)
     return out, t
 
 
@@ -176,8 +168,8 @@ def kernel_cofactors(p: Poly2, q: Poly2, wrt: str) -> "BezoutCertificate | None"
         raise InternalRealityViolation("zero resultant with a trivial Sylvester kernel")
     polys, _ = _clear_right(vec)
     m = q.deg(wrt)
-    h = _assemble(polys[:m], wrt)
-    k = _assemble(polys[m:], wrt)
+    h = Poly2.from_coeffs_in(polys[:m], wrt)
+    k = Poly2.from_coeffs_in(polys[m:], wrt)
     if h.is_zero or k.is_zero:
         raise InternalRealityViolation("kernel cofactors collapsed to zero")
     if not (p * h + q * k).is_zero:
@@ -189,9 +181,10 @@ def bezout_certificate(p: Poly2, q: Poly2, wrt: str) -> BezoutCertificate:
     """Combination p*h + q*k = target with target nonzero in one variable.
 
     Solves the Sylvester system against the unit vector of the constant row,
-    clears the fraction solution on the right, then applies one more central
-    real factor so that symm(target) is an exact RealPoly multiple of the
-    sdet numerator of the resultant class. Raises SingularSystem when the
+    clears the fraction solution on the right by the real lcm t of its
+    denominators, then applies one more real factor so that symm(target) is
+    an exact RealPoly multiple of the sdet numerator of the resultant class.
+    The target is therefore real and central. Raises SingularSystem when the
     resultant vanishes and DegreeTooLow when there is nothing to eliminate.
     """
     mat = sylvester(p, q, wrt)
@@ -205,14 +198,14 @@ def bezout_certificate(p: Poly2, q: Poly2, wrt: str) -> BezoutCertificate:
     xs = cramer_solve(mat, rhs)
     polys, t = _clear_right(xs)
     sdet_num, _ = dc.sdet
-    extra = real_div_exact(sdet_num, real_gcd(t.symm(), sdet_num))
-    central = extra.to_poly1()
-    target = t * central
+    # symm(t) = t^2 for a real t
+    extra = real_div_exact(sdet_num, real_gcd(t * t, sdet_num))
+    target = (t * extra).to_poly1()
     if target.is_zero:
         raise InternalRealityViolation("certificate target collapsed to zero")
     m = q.deg(wrt)
-    h = _assemble([c * central for c in polys[:m]], wrt)
-    k = _assemble([c * central for c in polys[m:]], wrt)
+    h = Poly2.from_coeffs_in([c * extra for c in polys[:m]], wrt)
+    k = Poly2.from_coeffs_in([c * extra for c in polys[m:]], wrt)
     if p * h + q * k != Poly2.from_poly1(target, _other(wrt)):
         raise InternalRealityViolation("certificate combination mismatch")
     if not real_divmod(target.symm(), sdet_num)[1].is_zero:

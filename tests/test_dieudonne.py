@@ -396,6 +396,28 @@ def test_kernel_free_column_before_a_pivot_column():
     assert kernel_vector(rank_one) == [ONE_FRAC, ZERO_FRAC, ZERO_FRAC]
 
 
+def test_solves_do_not_depend_on_the_pivot_rule(monkeypatch):
+    # the Cramer solution, the rank and the kernel vector with the first free
+    # column 1 are unique, so weighing the pivots could not change them
+    rng = random.Random(11)
+    mats = []
+    for _ in range(2):
+        rows = rand_matrix(rng, 3).entries
+        lam, mu = rand_frac(rng), rand_frac(rng)
+        mats.append(SkewMatrix(rows))
+        mats.append(SkewMatrix([rows[0], rows[1], [lam * a + mu * b for a, b in zip(*rows[:2])]]))
+    rhs = [ONE_FRAC, ZERO_FRAC, rand_frac(rng)]
+
+    def solve(m):
+        r = rank(m)
+        return r, cramer_solve(m, rhs) if r == m.nrows else None, kernel_vector(m)
+
+    first = [solve(m) for m in mats]
+    assert [r for r, _, _ in first] == [3, 2] * 2
+    monkeypatch.setattr(dieudonne, "_first_pivot", dieudonne._min_degree_pivot)
+    assert [solve(m) for m in mats] == first
+
+
 def _corrupt_first_pivot_unknown(monkeypatch):
     real = dieudonne._back_substitute
 

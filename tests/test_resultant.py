@@ -6,6 +6,7 @@ import random
 import pytest
 import sympy
 
+from skewres import orefield, polyone
 from skewres.dieudonne import SkewMatrix, _min_degree_pivot, det
 from skewres.errors import (
     DegreeTooLow,
@@ -386,13 +387,25 @@ def test_bezout_identity_check_fires_on_corrupted_cofactors(monkeypatch):
         bezout_certificate(P_GOLD, Q_GOLD, "q2")
 
 
+# t = 1 and sdet = 2(1 + q2)^2 wrt q1, so the target is the extra factor alone
+P_PINNED = VAR_Q1 * (VAR_Q2 + 1) + Poly2.const(I)
+Q_PINNED = VAR_Q1 * (VAR_Q2 + 1) + Poly2.const(J)
+
+
 def test_bezout_divisibility_check_fires_without_the_extra_factor(monkeypatch):
-    bezout_certificate(P_GOLD, Q_GOLD, "q2")
+    bezout_certificate(P_PINNED, Q_PINNED, "q1")
     # a gcd claiming that sdet already divides symm(t) drops the extra
     # central factor; the identity still holds, the divisibility does not
     monkeypatch.setattr(res_mod, "real_gcd", lambda f, g: g)
     with pytest.raises(InternalRealityViolation, match="sdet factor"):
-        bezout_certificate(P_GOLD, Q_GOLD, "q2")
+        bezout_certificate(P_PINNED, Q_PINNED, "q1")
+
+
+def test_bezout_targets_are_real():
+    for p, q, wrt in ((P_GOLD, Q_GOLD, "q2"), (P_PINNED, Q_PINNED, "q1")):
+        target = bezout_certificate(p, q, wrt).target
+        assert not target.is_zero
+        assert all(c.is_real() for c in target.coeffs)
 
 
 def test_kernel_identity_check_fires_on_corrupted_cofactors(monkeypatch):
@@ -405,7 +418,40 @@ def test_kernel_identity_check_fires_on_corrupted_cofactors(monkeypatch):
 def test_clear_right_check_fires_on_a_wrong_multiplier(monkeypatch):
     vec = [OreFrac(Poly1([-I, ONE]), Poly1([J]))]
     polys, t = res_mod._clear_right(vec)
-    assert (vec[0] * t).num == polys[0]
-    monkeypatch.setattr(res_mod, "lcrm", lambda b, c: (ONE_P, ONE_P, ONE_P))
+    assert vec[0] * t.to_poly1() == polys[0]
+    # a gcd equal to the denominator drops its factor from the real lcm
+    monkeypatch.setattr(res_mod, "real_gcd", lambda f, g: g)
     with pytest.raises(InternalRealityViolation, match="clearing"):
         res_mod._clear_right(vec)
+
+
+def test_clear_right_matches_fraction_products():
+    rng = random.Random(53)
+    for _ in range(12):
+        vec = []
+        for _ in range(3):
+            den = Poly1([rand_quat(rng) for _ in range(rng.randint(1, 3))]) or ONE_P
+            num = Poly1([rand_quat(rng) for _ in range(rng.randint(0, 2))])
+            vec.append(OreFrac(den, num))
+        polys, t = res_mod._clear_right(vec)
+        assert isinstance(t, RealPoly) and t.lc == 1
+        assert [f * t.to_poly1() for f in vec] == polys
+
+
+def test_certificates_need_no_left_view(monkeypatch):
+    def refused(*args):
+        raise AssertionError("certificates must not need a skew gcd or lcm")
+
+    for mod, name in (
+        (polyone, "gcld"),
+        (polyone, "llcm"),
+        (polyone, "lcrm"),
+        (orefield, "gcld"),
+        (orefield, "_left_view"),
+    ):
+        monkeypatch.setattr(mod, name, refused)
+    for p, q, wrt in ((P_GOLD, Q_GOLD, "q2"), (P_PINNED, Q_PINNED, "q1")):
+        assert not bezout_certificate(p, q, wrt).target.is_zero
+    assert kernel_cofactors(P_GOLD, Q_GOLD, "q1") is not None
+    a = linear("q2", J)
+    assert kernel_cofactors(a * (VAR_Q1 + 1), a * (VAR_Q1 - Poly2.const(K)), "q2") is not None
