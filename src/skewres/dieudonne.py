@@ -8,13 +8,14 @@ real polynomials obtained by symmetrizing any representative.
 
 Elimination uses only the two class-safe row operations: adding a left
 multiple of another row (invisible to the class) and extracting a pivot
-(which contributes its class as a left factor). The forward elimination
-_eliminate and its _back_substitute live in polyone, where they also serve
-llcm over the quaternions; here they serve the determinant representative,
-Cramer solves, rank and kernels, and, run on constant quaternion matrices at
-rational points, the symmetrized determinant of a polynomial matrix. Only
-the representative depends on the pivot choice, so only det weighs its
-candidates (_min_degree_pivot); every other caller takes the first one.
+(which contributes its class as a left factor). The package's one
+elimination loop lives in polyone (_eliminate, _back_substitute,
+_right_kernel). Here it serves the determinant representative, Cramer
+solves, rank and kernels on left fractions, and the constant matrices at
+rational points that _point_det interpolates: _reduced_norm for sdet,
+_signed_det for resultant.classical_resultant. Only the representative
+depends on the pivot choice, so only det weighs its candidates
+(_min_degree_pivot); every other caller takes the first one.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .polyone import (
     _back_substitute,
     _eliminate,
     _first_pivot,
+    _right_kernel,
     left_divmod,
     real_div_exact,
     real_gcd,
@@ -228,6 +230,20 @@ def _reduced_norm(mat: list[list[Quaternion]]) -> Rational:
     return math.prod((mat[p][col].norm_sq() for p, col in pivots), start=Rational(1))
 
 
+def _signed_det(mat: list[list[Rational]]) -> Rational:
+    """Determinant of a constant square rational matrix, in place: rows are
+    never swapped, so the pivot rows in column order are a permutation that
+    sorts the pivots onto a triangle, and the determinant is their product
+    times its sign."""
+    pivots = _eliminate(mat, len(mat), _first_pivot)
+    if len(pivots) < len(mat):
+        return Rational(0)
+    order = [p for p, _ in pivots]
+    swaps = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
+    sign = -1 if swaps % 2 else 1
+    return sign * math.prod((mat[p][col] for p, col in pivots), start=Rational(1))
+
+
 def _newton_interpolate(ts: list, values: list) -> RealPoly:
     """The polynomial of degree below len(ts) through the points (t, value)."""
     diffs = list(values)
@@ -240,27 +256,24 @@ def _newton_interpolate(ts: list, values: list) -> RealPoly:
     return poly
 
 
-def _points_sdet(rows: list[list[Poly1]]) -> RealPoly:
-    """sdet of a square polynomial-entry matrix, interpolated from values.
+def _point_det(rows: list, scale: int, det_at) -> RealPoly:
+    """A determinant of a square polynomial matrix, interpolated from values.
 
-    The variable is central, so evaluation at a rational t is a ring map
-    H[q] -> H and sdet(t) is the reduced norm of the constant matrix at t.
-    sdet is the determinant of the 2n x 2n complex image, which doubles each
-    row and column of the same degree, so deg sdet is at most
-    D = 2 min(sum of row degrees, sum of column degrees): the values at
-    t = 0, 1, -1, 2, -2, ... give sdet from the first D + 1 points, and the
-    next point checks it.
+    The variable is central, so evaluation at a rational t is a ring map,
+    and det_at maps the constant matrix at t to the determinant at t. Its
+    degree is at most D = scale * min(sum of row degrees, sum of column
+    degrees), with scale 2 when det_at takes the determinant of the 2n x 2n
+    complex image (the reduced norm): the values at t = 0, 1, -1, 2, -2, ...
+    give the polynomial from the first D + 1 points, and the next checks it.
     """
     degs = [[max(e.degree, 0) for e in row] for row in rows]
-    bound = 2 * min(sum(map(max, degs)), sum(map(max, zip(*degs))))
+    bound = scale * min(sum(map(max, degs)), sum(map(max, zip(*degs))))
     ts = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 2)]
-    values = [_reduced_norm([[e.eval(t) for e in row] for row in rows]) for t in ts]
-    sdet = _newton_interpolate(ts[:-1], values[:-1])
-    if sdet.eval(ts[-1]) != values[-1]:
-        raise InternalRealityViolation("symmetrized determinant misses its check point")
-    if sdet.coeffs and sdet.coeffs[-1] < 0:
-        raise InternalRealityViolation("symmetrized determinant with negative lead")
-    return sdet
+    values = [det_at([[e.eval(t) for e in row] for row in rows]) for t in ts]
+    poly = _newton_interpolate(ts[:-1], values[:-1])
+    if poly.eval(ts[-1]) != values[-1]:
+        raise InternalRealityViolation("interpolated determinant misses its check point")
+    return poly
 
 
 def _eliminate_rep(matrix: SkewMatrix, rule) -> OreFrac:
@@ -292,7 +305,10 @@ def det(matrix: SkewMatrix, pivot_rule=None) -> DetClass:
     if matrix.nrows != matrix.ncols:
         raise NonSquare(f"determinant of a {matrix.nrows}x{matrix.ncols} matrix")
     if pivot_rule is None and all(e.is_poly for row in matrix.entries for e in row):
-        sdet_num = _points_sdet([[e.cnum for e in row] for row in matrix.entries])
+        rows = [[e.cnum for e in row] for row in matrix.entries]
+        sdet_num = _point_det(rows, 2, _reduced_norm)
+        if sdet_num.coeffs and sdet_num.coeffs[-1] < 0:
+            raise InternalRealityViolation("symmetrized determinant with negative lead")
         sdet_den = RealPoly([1])
 
         def rep_thunk() -> OreFrac:
@@ -416,22 +432,14 @@ def rank(matrix: SkewMatrix) -> int:
 def kernel_vector(matrix: SkewMatrix) -> "list[OreFrac] | None":
     """A nonzero right-kernel vector (A x = 0), or None when the kernel is 0.
 
-    The first free column is set to 1 and the later ones to 0; back
-    substitution fills in the pivot columns. The pivot columns are where the
-    rank of the leading columns rises, so that vector is unique and the first
-    candidate serves as pivot. Solutions are closed under right
-    multiplication, so any denominator can later be cleared on the right
-    without leaving the kernel.
+    From polyone._right_kernel, shared with llcm: the first free column is 1,
+    the later ones 0, and back substitution fills in the rest. Solutions
+    are closed under right multiplication, so any denominator can later be
+    cleared on the right without leaving the kernel.
     """
-    work = [list(row) for row in matrix.entries]
-    pivots = _eliminate(work, matrix.ncols, _first_pivot)
-    pivot_cols = {col for _, col in pivots}
-    free = [c for c in range(matrix.ncols) if c not in pivot_cols]
-    if not free:
+    vec = _right_kernel(matrix.entries, matrix.ncols, ZERO_FRAC, ONE_FRAC)
+    if vec is None:
         return None
-    vec = [ZERO_FRAC] * matrix.ncols
-    vec[free[0]] = ONE_FRAC
-    _back_substitute(work, pivots, vec)
     if any(not v.is_zero for v in mat_vec(matrix, vec)) or all(v.is_zero for v in vec):
         raise InternalRealityViolation("kernel construction failed")
     return vec

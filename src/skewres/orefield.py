@@ -167,6 +167,10 @@ class OreFrac:
             raise DivisionByZero("inverse of the zero fraction")
         return _reduced(self.cnum.conj() * self.cden, self.cnum.symm())
 
+    def __rtruediv__(self, one) -> "OreFrac":
+        """1 / f, the pivot inverse of the elimination in polyone."""
+        return self.inv() if one == 1 else NotImplemented
+
     def symm_frac(self) -> tuple[RealPoly, RealPoly]:
         """(den*conj(den), num*conj(num)): the symmetrized left-form parts."""
         return self.den.symm(), self.num.symm()

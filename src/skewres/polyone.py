@@ -11,10 +11,12 @@ right-handed Euclidean routines right_divmod, gcrd and lcrm are conj mirrors
 of left_divmod, gcld and llcm on the conjugated inputs.
 
 Also hosts RealPoly, the commutative subring of real-coefficient polynomials,
-used wherever symmetrizations land, and the one forward elimination over a
-skew field, _eliminate with _back_substitute: llcm runs it on quaternion
-constants here, and dieudonne runs it on left fractions and, for the
-symmetrized determinant, on quaternion matrices at rational points.
+used wherever symmetrizations land, and the package's one elimination loop,
+_eliminate with _back_substitute, on rationals, quaternions and left
+fractions alike (the pivot inverse is 1 / entry). llcm and
+dieudonne.kernel_vector share _right_kernel on it; dieudonne runs it for
+det, cramer_solve and rank, and at points for sdet and
+resultant.classical_resultant.
 """
 
 from __future__ import annotations
@@ -249,8 +251,8 @@ def _content_scale(values) -> "Rational":
     den_lcm = 1
     for v in values:
         if v:
-            num_gcd = math.gcd(num_gcd, int(v.numerator))
-            d = int(v.denominator)
+            num_gcd = math.gcd(num_gcd, v.numerator)
+            d = v.denominator
             den_lcm = den_lcm // math.gcd(den_lcm, d) * d
     if num_gcd == 0:
         return _R1
@@ -330,8 +332,8 @@ def gcld(f: Poly1, g: Poly1) -> Poly1:
 def _eliminate(work: list, ncols: int, rule) -> list[tuple[int, int]]:
     """Forward elimination over a skew field, in place; returns the pivots.
 
-    Entries are field elements with a falsy zero and an inv() method:
-    quaternions or left fractions. Columns are taken left to right. In each,
+    Entries are rationals, quaternions or left fractions: a falsy zero, and
+    1 / entry is the inverse. Columns are taken left to right. In each,
     rule picks the pivot among the unused rows with a nonzero entry (offered
     in their original order; rows are never swapped) and every other unused
     row is cleared with a left-multiple row addition, which keeps the right
@@ -346,7 +348,7 @@ def _eliminate(work: list, ncols: int, rule) -> list[tuple[int, int]]:
         if not column:
             continue
         p = rule(column)
-        pinv = work[p][col].inv()
+        pinv = 1 / work[p][col]
         for r in active:
             if r == p:
                 continue
@@ -374,32 +376,32 @@ def _back_substitute(work: list, pivots: list[tuple[int, int]], xs: list) -> Non
         for j in range(col + 1, n):
             if row[j] and xs[j]:
                 acc = acc - row[j] * xs[j]
-        xs[col] = row[col].inv() * acc
+        xs[col] = (1 / row[col]) * acc
 
 
 def _first_pivot(column) -> int:
     """Pivot rule: the first candidate row. Where the pivot choice cannot
-    change the result (reduced norms, Cramer solutions, rank, kernels with
+    change the result (point values, Cramer solutions, rank, kernels with
     the first free column 1), it saves weighing every candidate."""
     return column[0][0]
 
 
-def _quat_right_kernel(rows: list[list[Quaternion]]) -> "list[Quaternion] | None":
-    """A nonzero solution of sum_s rows[r][s] x_s = 0, one equation per row.
+def _right_kernel(rows: list, ncols: int, zero, one) -> "list | None":
+    """A nonzero x with sum_s rows[r][s] x_s = 0 for every row, or None.
 
     The shared elimination with the first candidate as pivot; the first free
-    column is set to 1, the later ones to 0, and back substitution fills in
-    the pivot columns.
+    column is set to one, the later ones to zero, and back substitution fills
+    in the pivot columns: the pivot columns are where the rank of the
+    leading columns rises, so that vector is unique.
     """
-    ncols = len(rows[0]) if rows else 0
     work = [list(r) for r in rows]
     pivots = _eliminate(work, ncols, _first_pivot)
     pivot_cols = {col for _, col in pivots}
     free = next((c for c in range(ncols) if c not in pivot_cols), None)
     if free is None:
         return None
-    sol = [ZERO] * ncols
-    sol[free] = ONE
+    sol = [zero] * ncols
+    sol[free] = one
     _back_substitute(work, pivots, sol)
     return sol
 
@@ -434,7 +436,7 @@ def llcm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
             cc = cs.coeff(t - s) if 0 <= t - s <= cs.degree else ZERO
             eq.append(-cc.conj())
         eqns.append(eq)
-    kernel = _quat_right_kernel(eqns)
+    kernel = _right_kernel(eqns, du + dv + 2, ZERO, ONE)
     if kernel is None:
         raise InternalRealityViolation("llcm kernel is empty")
     u = Poly1([q.conj() for q in kernel[: du + 1]])

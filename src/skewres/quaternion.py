@@ -1,9 +1,8 @@
 """Exact quaternion arithmetic over the rationals.
 
-Components are exact rationals (gmpy2.mpq when available, fractions.Fraction
-otherwise, both behind the ``Rational`` alias). Values are treated as immutable:
-nothing in this package mutates a Quaternion after construction, and hashing
-relies on that.
+Components are exact rationals (fractions.Fraction, behind the ``Rational``
+alias). Values are treated as immutable: nothing in this package mutates a
+Quaternion after construction, and hashing relies on that.
 
 Products follow the Hamilton table with i*j = k, j*k = i, k*i = j.
 """
@@ -12,13 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction as Rational
 
 from .errors import DivisionByZero, NotRationallyNormalizable, RealArgument
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rational
 
 _R0 = Rational(0)
 _R1 = Rational(1)
@@ -28,8 +23,8 @@ def rational_sqrt(value) -> "Rational | None":
     """Exact nonnegative square root of a rational, or None if irrational."""
     if value < 0:
         return None
-    num = int(value.numerator)
-    den = int(value.denominator)
+    num = value.numerator
+    den = value.denominator
     rn = math.isqrt(num)
     rd = math.isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -135,7 +130,9 @@ class Quaternion:
             raise DivisionByZero("zero quaternion has no inverse")
         return _mk(self.w / n, -self.x / n, -self.y / n, -self.z / n)
 
-    inv = inverse  # the name the skew-field elimination uses for every entry type
+    def __rtruediv__(self, one) -> "Quaternion":
+        """1 / q, the pivot inverse of the elimination in polyone."""
+        return self.inverse() if one == 1 else NotImplemented
 
     def is_real(self) -> bool:
         return not (self.x or self.y or self.z)

@@ -3,7 +3,9 @@
 Eliminating one variable from a pair P, Q in H[q1, q2] yields the Dieudonne
 determinant class of a Sylvester-style matrix whose entries are polynomials
 in the other variable; everything downstream (Bezout certificates, kernel
-cofactors, discriminants) is built on that matrix.
+cofactors, discriminants) is built on that matrix. classical_resultant, its
+commutative shadow, takes the same band and the same point determinant as
+sdet, with a signed determinant in place of the reduced norm.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from .dieudonne import (
     DetClass,
     SkewMatrix,
+    _point_det,
+    _signed_det,
     cramer_solve,
     det,
     kernel_vector,
@@ -54,16 +58,19 @@ def sylvester(p: Poly2, q: Poly2, wrt: str) -> SkewMatrix:
     _check_var(wrt)
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("sylvester matrix of the zero polynomial")
-    pv = p.coeffs_in(wrt)
-    qv = q.coeffs_in(wrt)
+    return SkewMatrix(_band(p.coeffs_in(wrt), q.coeffs_in(wrt), ZERO_P))
+
+
+def _band(pv: list, qv: list, zero) -> list[list]:
+    """The Sylvester rows of two ascending coefficient views, zero elsewhere."""
     n = len(pv) - 1
     m = len(qv) - 1
     rows = []
     for k in range(n + m):
-        row = [pv[k - j] if 0 <= k - j <= n else ZERO_P for j in range(m)]
-        row += [qv[k - j] if 0 <= k - j <= m else ZERO_P for j in range(n)]
+        row = [pv[k - j] if 0 <= k - j <= n else zero for j in range(m)]
+        row += [qv[k - j] if 0 <= k - j <= m else zero for j in range(n)]
         rows.append(row)
-    return SkewMatrix(rows)
+    return rows
 
 
 def sylvester_q1(p: Poly2, q: Poly2) -> SkewMatrix:
@@ -304,35 +311,11 @@ def _real_views(s: Poly2, wrt: str) -> list[RealPoly]:
 
 
 def classical_resultant(av: list[RealPoly], bv: list[RealPoly]) -> RealPoly:
-    """Ordinary commutative resultant from coefficient views (ascending)."""
-    n = len(av) - 1
-    m = len(bv) - 1
-    if n < 0 or m < 0:
+    """Ordinary commutative resultant from coefficient views (ascending):
+    the band's determinant, interpolated from signed determinants at points."""
+    if not av or not bv:
         raise ZeroPolynomial("classical resultant of the zero polynomial")
-    rows = []
-    for k in range(n + m):
-        row = [av[k - j] if 0 <= k - j <= n else RealPoly() for j in range(m)]
-        row += [bv[k - j] if 0 <= k - j <= m else RealPoly() for j in range(n)]
-        rows.append(row)
-    if not rows:
-        return RealPoly((1,))
-    # fraction-free elimination (Bareiss 1968): every division is exact
-    size = len(rows)
-    sign, prev = 1, RealPoly((1,))
-    for k in range(size - 1):
-        if not rows[k][k]:
-            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
-            if swap is None:
-                return RealPoly()
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for row in rows[k + 1 :]:
-            head = row[k]
-            for j in range(k + 1, size):
-                row[j] = real_div_exact(pivot * row[j] - head * rows[k][j], prev)
-        prev = pivot
-    return sign * rows[-1][-1]
+    return _point_det(_band(av, bv, RealPoly()), 1, _signed_det)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from skewres import dieudonne
+from skewres import dieudonne, polyone
 from skewres.dieudonne import (
     DetClass,
     SkewMatrix,
@@ -415,18 +415,20 @@ def test_solves_do_not_depend_on_the_pivot_rule(monkeypatch):
     first = [solve(m) for m in mats]
     assert [r for r, _, _ in first] == [3, 2] * 2
     monkeypatch.setattr(dieudonne, "_first_pivot", dieudonne._min_degree_pivot)
+    # kernel_vector pivots inside the kernel helper it shares with llcm
+    monkeypatch.setattr(polyone, "_first_pivot", dieudonne._min_degree_pivot)
     assert [solve(m) for m in mats] == first
 
 
-def _corrupt_first_pivot_unknown(monkeypatch):
-    real = dieudonne._back_substitute
+def _corrupt_first_pivot_unknown(monkeypatch, module=dieudonne):
+    real = module._back_substitute
 
     def corrupted(work, pivots, xs):
         real(work, pivots, xs)
         col = pivots[0][1]
         xs[col] = xs[col] + ONE_FRAC
 
-    monkeypatch.setattr(dieudonne, "_back_substitute", corrupted)
+    monkeypatch.setattr(module, "_back_substitute", corrupted)
 
 
 def test_cramer_check_fires_on_a_corrupted_solution(monkeypatch):
@@ -443,7 +445,8 @@ def test_kernel_check_fires_on_a_corrupted_vector(monkeypatch):
     row = [OreFrac.from_poly(q_minus(I)), OreFrac.from_poly(q_minus(J))]
     m = SkewMatrix([row, [lam * e for e in row]])
     assert kernel_vector(m) is not None
-    _corrupt_first_pivot_unknown(monkeypatch)
+    # the kernel helper kernel_vector shares with llcm back-substitutes in polyone
+    _corrupt_first_pivot_unknown(monkeypatch, polyone)
     with pytest.raises(InternalRealityViolation):
         kernel_vector(m)
 

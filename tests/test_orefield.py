@@ -224,6 +224,7 @@ def test_inverses():
         assert x * x.inv() == ONE_FRAC
         assert x.inv() * x == ONE_FRAC
         assert x.inv().inv() == x
+        assert 1 / x == x.inv()
     with pytest.raises(DivisionByZero):
         ZERO_FRAC.inv()
 

@@ -50,6 +50,10 @@ def test_rational_components():
     a = Quaternion(Rational(1, 2), Rational(-3, 4), 0, 5)
     b = a * a.inverse()
     assert b == ONE
+    # 1 / a is the inverse; no other numerator is defined
+    assert 1 / a == a.inverse()
+    with pytest.raises(TypeError):
+        2 / a
     assert a + ZERO == a
     assert a - a == ZERO
     assert 2 * a == a + a

@@ -275,7 +275,7 @@ def test_classical_resultant_matches_sympy():
         if av[-1].is_zero or bv[-1].is_zero:
             continue
         _assert_classical_matches_sympy(av, bv)
-    # a zero constant view leaves the first pivot zero, so rows are swapped:
+    # a zero constant view leaves row 0 without a pivot in column 0:
     # a = x y^2 + (x + 1) y, b = 3 y^2 + x y + (1 + 2x)
     av = [RealPoly(), RealPoly([1, 1]), RealPoly([0, 1])]
     bv = [RealPoly([1, 2]), RealPoly([0, 1]), RealPoly([3])]
@@ -285,6 +285,41 @@ def test_classical_resultant_matches_sympy():
     av = [RealPoly([0, -1]), RealPoly([1, -1]), RealPoly([1])]
     bv = [RealPoly([0, -2]), RealPoly([2, -1]), RealPoly([1])]
     assert _assert_classical_matches_sympy(av, bv).is_zero
+    # wherever the determinant is nonzero, the pivot rows run 1, 0, 2, an
+    # odd permutation: a = x y^2 + y, b = 2 y + (1 + x)
+    av = [RealPoly(), RealPoly([1]), RealPoly([0, 1])]
+    bv = [RealPoly([1, 1]), RealPoly([2])]
+    assert not _assert_classical_matches_sympy(av, bv).is_zero
+    # a view of degree 0 in y: Res(a0, b) = a0^deg(b), here (x + 2)^2
+    av = [RealPoly([2, 1])]
+    bv = [RealPoly([1]), RealPoly([0, 1]), RealPoly([3])]
+    assert _assert_classical_matches_sympy(av, bv) == RealPoly([4, 4, 1])
+    # a shared factor whose lead vanishes at the first point t = 0:
+    # a = (x y + 1)(y - 2), b = (x y + 1)(y + x)
+    av = [RealPoly([-2]), RealPoly([1, -2]), RealPoly([0, 1])]
+    bv = [RealPoly([0, 1]), RealPoly([1, 0, 1]), RealPoly([0, 1])]
+    assert _assert_classical_matches_sympy(av, bv).is_zero
+
+
+def test_classical_check_point_fires_on_a_corrupted_value(monkeypatch):
+    # a = x y + 1, b = y^2 + x: Res = 1 + x^3
+    av = [RealPoly([1]), RealPoly([0, 1])]
+    bv = [RealPoly([0, 1]), RealPoly(), RealPoly([1])]
+    assert classical_resultant(av, bv) == RealPoly([1, 0, 0, 1])
+    real = res_mod._signed_det
+    calls = []
+
+    def corrupted(mat):
+        calls.append(mat)
+        value = real(mat)
+        return value + 1 if len(calls) == 1 else value
+
+    monkeypatch.setattr(res_mod, "_signed_det", corrupted)
+    with pytest.raises(InternalRealityViolation, match="check point"):
+        classical_resultant(av, bv)
+    # every row and column of the 3 x 3 band has degree 1, so the bound is
+    # D = 3: D + 1 interpolated points and one check
+    assert len(calls) == 3 + 2
 
 
 def test_discriminants_crossed_pairing():
