@@ -5,8 +5,10 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     ExprSyntaxError,
+    HypothesisViolation,
     IndexOutOfRange,
     InternalRealityViolation,
+    InvalidInput,
     MixedVariableError,
     NonCommutingPoint,
     NonSquare,

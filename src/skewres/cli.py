@@ -1,8 +1,13 @@
 """Command-line front end: parse, compute, report.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 hypothesis violation
-(a non-commuting evaluation point, or a Bezout request on a vanishing
-resultant). All numbers printed are exact rationals.
+Exit codes follow the error kinds of skewres.errors: 0 success, 1 any
+InvalidInput (parse, schema, validation and argument failures), 2 any
+HypothesisViolation (a non-commuting evaluation point, or a Bezout request
+on a vanishing resultant). Each prints one "error:" line on stderr; an
+internal fault (InternalRealityViolation, or any exception not raised on
+purpose) propagates as a traceback. Every polynomial is shown by one
+helper, as text or with --latex as LaTeX. All numbers printed are exact
+rationals.
 """
 
 from __future__ import annotations
@@ -12,21 +17,13 @@ import json
 import sys
 
 from .dieudonne import det
-from .errors import (
-    DegreeTooLow,
-    DimensionMismatch,
-    ExprSyntaxError,
-    MixedVariableError,
-    NonCommutingPoint,
-    NonSquare,
-    SchemaError,
-    SingularSystem,
-    ZeroPolynomial,
-)
+from .errors import HypothesisViolation, InvalidInput
 from .exprio import (
-    SCHEMA_VERSION,
+    _document,
+    _frac_json,
+    _json_int,
     _quat_json,
-    _real_json,
+    _sdet_json,
     lower,
     lower2,
     matrix_from_json,
@@ -51,19 +48,8 @@ from .resultant import (
     resultant,
 )
 
-_VALIDATION_ERRORS = (
-    ExprSyntaxError,
-    MixedVariableError,
-    SchemaError,
-    ZeroPolynomial,
-    DegreeTooLow,
-    DimensionMismatch,
-    NonSquare,
-    ValueError,
-)
 
-
-class _CliError(Exception):
+class _CliError(InvalidInput):
     pass
 
 
@@ -96,18 +82,16 @@ def _parse_point(text: str) -> tuple[Quaternion, Quaternion]:
     return _parse_quat(parts[0]), _parse_quat(parts[1])
 
 
-def _render1(p: Poly1, var: str, latex: bool) -> str:
-    shown = Poly2.from_poly1(p, var) if var in ("q1", "q2") else p
-    return print_latex(shown) if latex else print_poly(shown)
-
-
-def _render_real(rp: RealPoly, var: str, latex: bool) -> str:
-    return _render1(rp.to_poly1(), var, latex)
-
-
-def _render_quat(c: Quaternion, latex: bool) -> str:
-    p = Poly1((c,))
-    return print_latex(p) if latex else print_poly(p)
+def _show(value, args, var: str = "q") -> str:
+    """Text or LaTeX form of a polynomial, a real polynomial or a constant;
+    a one-variable value is shown as a polynomial in var."""
+    if isinstance(value, Quaternion):
+        value = Poly1((value,))
+    elif isinstance(value, RealPoly):
+        value = value.to_poly1()
+    if isinstance(value, Poly1) and var != "q":
+        value = Poly2.from_poly1(value, var)
+    return print_latex(value) if args.latex else print_poly(value)
 
 
 def _emit_json(doc) -> None:
@@ -124,9 +108,9 @@ def _print_report(report, args) -> int:
     print(f"wrt: {report.wrt}")
     print(f"size: {report.sylvester.nrows}")
     print(f"is_zero: {'true' if report.is_zero else 'false'}")
-    print(f"sdet_num: {_render_real(num, var, args.latex)}")
-    print(f"sdet_den: {_render_real(den, var, args.latex)}")
-    print(f"representative: {'-' if rep is None else _render1(rep, var, args.latex)}")
+    print(f"sdet_num: {_show(num, args, var)}")
+    print(f"sdet_den: {_show(den, args, var)}")
+    print(f"representative: {'-' if rep is None else _show(rep, args, var)}")
     return 0
 
 
@@ -142,28 +126,19 @@ def _cmd_disc(args) -> int:
 def _cmd_det(args) -> int:
     text = sys.stdin.read() if args.matrix == "-" else args.matrix
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise _CliError(f"matrix is not valid JSON: {exc}") from exc
-    matrix = matrix_from_json(doc)
-    dc = det(matrix)
-    num, den = dc.sdet
-    rep = dc.rep
+    dc = det(matrix_from_json(doc))
     if args.json:
-        out = {
-            "schema": "skewres/det",
-            "version": SCHEMA_VERSION,
-            "is_zero": dc.is_zero,
-            "sdet": {"num": _real_json(num), "den": _real_json(den)},
-            "rep": {"den": poly1_to_json(rep.den)["coeffs"], "num": poly1_to_json(rep.num)["coeffs"]},
-        }
-        _emit_json(out)
+        _emit_json(_document("det", is_zero=dc.is_zero, sdet=_sdet_json(dc.sdet), rep=_frac_json(dc.rep)))
     else:
+        num, den = dc.sdet
         print(f"is_zero: {'true' if dc.is_zero else 'false'}")
-        print(f"sdet_num: {_render_real(num, 'q', args.latex)}")
-        print(f"sdet_den: {_render_real(den, 'q', args.latex)}")
-        print(f"rep_den: {_render1(rep.den, 'q', args.latex)}")
-        print(f"rep_num: {_render1(rep.num, 'q', args.latex)}")
+        print(f"sdet_num: {_show(num, args)}")
+        print(f"sdet_den: {_show(den, args)}")
+        print(f"rep_den: {_show(dc.rep.den, args)}")
+        print(f"rep_num: {_show(dc.rep.num, args)}")
     return 0
 
 
@@ -181,13 +156,9 @@ def _cmd_eval(args) -> int:
             raise _CliError("a one-variable polynomial takes a single point")
         result = value.eval(_parse_quat(args.at))
     if args.json:
-        _emit_json({
-            "schema": "skewres/value",
-            "version": SCHEMA_VERSION,
-            "value": _quat_json(result),
-        })
+        _emit_json(_document("value", value=_quat_json(result)))
     else:
-        print(_render_quat(result, args.latex))
+        print(_show(result, args))
     return 0
 
 
@@ -197,47 +168,40 @@ def _cmd_symm(args) -> int:
     if args.json:
         _emit_json(poly1_to_json(symm) if isinstance(symm, Poly1) else poly2_to_json(symm))
     else:
-        print(print_latex(symm) if args.latex else print_poly(symm))
+        print(_show(symm, args))
     return 0
+
+
+def _cofactors_json(cert) -> dict:
+    return {"h": poly2_to_json(cert.h), "k": poly2_to_json(cert.k)}
+
+
+def _print_cofactors(cert, args) -> None:
+    print(f"wrt: {cert.wrt}")
+    print(f"h: {_show(cert.h, args)}")
+    print(f"k: {_show(cert.k, args)}")
 
 
 def _cmd_bezout(args) -> int:
     cert = bezout_certificate(_parse_poly2(args.p), _parse_poly2(args.q), args.wrt)
-    var = _other(args.wrt)
     if args.json:
-        _emit_json({
-            "schema": "skewres/bezout",
-            "version": SCHEMA_VERSION,
-            "wrt": cert.wrt,
-            "h": poly2_to_json(cert.h),
-            "k": poly2_to_json(cert.k),
-            "target": poly1_to_json(cert.target),
-        })
+        _emit_json(_document(
+            "bezout", wrt=cert.wrt, **_cofactors_json(cert), target=poly1_to_json(cert.target)
+        ))
     else:
-        print(f"wrt: {cert.wrt}")
-        print(f"h: {print_latex(cert.h) if args.latex else print_poly(cert.h)}")
-        print(f"k: {print_latex(cert.k) if args.latex else print_poly(cert.k)}")
-        print(f"target: {_render1(cert.target, var, args.latex)}")
+        _print_cofactors(cert, args)
+        print(f"target: {_show(cert.target, args, _other(args.wrt))}")
     return 0
 
 
 def _cmd_kernel(args) -> int:
     cert = kernel_cofactors(_parse_poly2(args.p), _parse_poly2(args.q), args.wrt)
     if args.json:
-        if cert is None:
-            _emit_json({"schema": "skewres/kernel", "version": SCHEMA_VERSION, "kernel": None})
-        else:
-            _emit_json({
-                "schema": "skewres/kernel",
-                "version": SCHEMA_VERSION,
-                "kernel": {"h": poly2_to_json(cert.h), "k": poly2_to_json(cert.k)},
-            })
+        _emit_json(_document("kernel", kernel=None if cert is None else _cofactors_json(cert)))
     elif cert is None:
         print("kernel: none (resultant is nonzero)")
     else:
-        print(f"wrt: {cert.wrt}")
-        print(f"h: {print_latex(cert.h) if args.latex else print_poly(cert.h)}")
-        print(f"k: {print_latex(cert.k) if args.latex else print_poly(cert.k)}")
+        _print_cofactors(cert, args)
     return 0
 
 
@@ -251,17 +215,16 @@ def _cmd_factor(args) -> int:
     if args.at is not None:
         zero_doc = check_common_zero(p, q, *_parse_point(args.at))
     if args.json:
-        doc = {
-            "schema": "skewres/criteria",
-            "version": SCHEMA_VERSION,
-            "q1_factors": [
+        doc = _document(
+            "criteria",
+            q1_factors=[
                 {"point": _quat_json(a), "resultant_zero": flag} for a, flag in rep.q1_factors
             ],
-            "q2_factors": [
+            q2_factors=[
                 {"point": _quat_json(a), "resultant_zero": flag} for a, flag in rep.q2_factors
             ],
-            "holds": rep.holds,
-        }
+            holds=rep.holds,
+        )
         if zero_doc is not None:
             doc["common_zero"] = {
                 "hypothesis_met": zero_doc.hypothesis_met,
@@ -273,7 +236,7 @@ def _cmd_factor(args) -> int:
     else:
         for var_name, pairs in (("q1", rep.q1_factors), ("q2", rep.q2_factors)):
             for a, flag in pairs:
-                point = _render_quat(a, args.latex)
+                point = _show(a, args)
                 print(f"common left factor ({var_name} - ({point})): resultant_zero={'true' if flag else 'false'}")
         print(f"factor_criterion_holds: {'true' if rep.holds else 'false'}")
         if zero_doc is not None:
@@ -315,70 +278,45 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--json", action="store_true", help="emit the versioned JSON document")
-    sub.add_argument("--latex", action="store_true", help="render polynomials as LaTeX")
+_WRT = ("--wrt", {"choices": ("q1", "q2"), "required": True})
+_P = ("p", {})
+_Q = ("q", {})
+
+# name, help, handler and arguments of each subcommand, in the order listed
+# by --help; every subcommand but selftest also takes --json and --latex
+_COMMANDS = (
+    ("res", "resultant of P and Q in one variable", _cmd_res, (_WRT, _P, _Q)),
+    ("disc", "discriminant of P", _cmd_disc,
+     (("--var", {"choices": ("q1", "q2"), "required": True}), _P)),
+    ("det", "Dieudonne determinant of a JSON matrix ('-' reads stdin)", _cmd_det,
+     (("matrix", {}),)),
+    ("eval", "evaluate a polynomial at a point", _cmd_eval,
+     (_P, ("--at", {"help": "point: 'a' for q, 'a,b' for q1,q2"}))),
+    ("symm", "symmetrization P * conj(P)", _cmd_symm, (_P,)),
+    ("bezout", "Bezout certificate P*h + Q*k = target", _cmd_bezout, (_WRT, _P, _Q)),
+    ("kernel", "kernel cofactors when the resultant vanishes", _cmd_kernel, (_WRT, _P, _Q)),
+    ("factor", "left-factor and common-zero criteria", _cmd_factor, (
+        _P,
+        _Q,
+        ("--q1", {"action": "append", "metavar": "A", "help": "candidate left root in q1 (repeatable)"}),
+        ("--q2", {"action": "append", "metavar": "B", "help": "candidate left root in q2 (repeatable)"}),
+        ("--at", {"help": "commuting point 'a,b' for the common-zero check"}),
+    )),
+    ("selftest", "golden checks, one PASS/FAIL line each", _cmd_selftest, ()),
+)
 
 
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="skewres", description="resultants of skew polynomials in q1, q2")
     subs = top.add_subparsers(dest="command", required=True)
-
-    res = subs.add_parser("res", help="resultant of P and Q in one variable")
-    res.add_argument("--wrt", choices=("q1", "q2"), required=True)
-    res.add_argument("p")
-    res.add_argument("q")
-    _add_output_flags(res)
-    res.set_defaults(fn=_cmd_res)
-
-    disc = subs.add_parser("disc", help="discriminant of P")
-    disc.add_argument("--var", choices=("q1", "q2"), required=True)
-    disc.add_argument("p")
-    _add_output_flags(disc)
-    disc.set_defaults(fn=_cmd_disc)
-
-    detp = subs.add_parser("det", help="Dieudonne determinant of a JSON matrix ('-' reads stdin)")
-    detp.add_argument("matrix")
-    _add_output_flags(detp)
-    detp.set_defaults(fn=_cmd_det)
-
-    evalp = subs.add_parser("eval", help="evaluate a polynomial at a point")
-    evalp.add_argument("p")
-    evalp.add_argument("--at", help="point: 'a' for q, 'a,b' for q1,q2")
-    _add_output_flags(evalp)
-    evalp.set_defaults(fn=_cmd_eval)
-
-    symm = subs.add_parser("symm", help="symmetrization P * conj(P)")
-    symm.add_argument("p")
-    _add_output_flags(symm)
-    symm.set_defaults(fn=_cmd_symm)
-
-    bez = subs.add_parser("bezout", help="Bezout certificate P*h + Q*k = target")
-    bez.add_argument("--wrt", choices=("q1", "q2"), required=True)
-    bez.add_argument("p")
-    bez.add_argument("q")
-    _add_output_flags(bez)
-    bez.set_defaults(fn=_cmd_bezout)
-
-    ker = subs.add_parser("kernel", help="kernel cofactors when the resultant vanishes")
-    ker.add_argument("--wrt", choices=("q1", "q2"), required=True)
-    ker.add_argument("p")
-    ker.add_argument("q")
-    _add_output_flags(ker)
-    ker.set_defaults(fn=_cmd_kernel)
-
-    fac = subs.add_parser("factor", help="left-factor and common-zero criteria")
-    fac.add_argument("p")
-    fac.add_argument("q")
-    fac.add_argument("--q1", action="append", metavar="A", help="candidate left root in q1 (repeatable)")
-    fac.add_argument("--q2", action="append", metavar="B", help="candidate left root in q2 (repeatable)")
-    fac.add_argument("--at", help="commuting point 'a,b' for the common-zero check")
-    _add_output_flags(fac)
-    fac.set_defaults(fn=_cmd_factor)
-
-    self_p = subs.add_parser("selftest", help="golden checks, one PASS/FAIL line each")
-    self_p.set_defaults(fn=_cmd_selftest)
-
+    for name, help_text, fn, arguments in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        if fn is not _cmd_selftest:
+            sub.add_argument("--json", action="store_true", help="emit the versioned JSON document")
+            sub.add_argument("--latex", action="store_true", help="render polynomials as LaTeX")
+        sub.set_defaults(fn=fn)
     return top
 
 
@@ -389,12 +327,9 @@ def main(argv=None) -> int:
         if getattr(args, "json", False) and getattr(args, "latex", False):
             raise _CliError("--json and --latex are mutually exclusive")
         return args.fn(args)
-    except (NonCommutingPoint, SingularSystem) as exc:
+    except (InvalidInput, HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (_CliError, *_VALIDATION_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, HypothesisViolation) else 1
 
 
 if __name__ == "__main__":

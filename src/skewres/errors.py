@@ -1,7 +1,19 @@
 """Exception types shared across the package.
 
-Everything raised on purpose derives from SkewresError so callers (and the CLI)
-can tell validation failures apart from genuine bugs.
+Everything raised on purpose derives from SkewresError and sits under
+exactly one of three kinds:
+
+- InvalidInput: the caller's input is malformed or outside the domain of the
+  operation (a syntax error, a zero polynomial, a non-square matrix). It is
+  also a ValueError, so `except ValueError` keeps working.
+- HypothesisViolation: the input is well formed but breaks a mathematical
+  hypothesis of the operation (a non-commuting evaluation point, a singular
+  system where an invertible one is required).
+- InternalRealityViolation: a self-check failed, so the package itself is at
+  fault.
+
+The CLI maps the first two to exit codes 1 and 2 and lets the third
+propagate as a traceback.
 """
 
 
@@ -9,55 +21,63 @@ class SkewresError(Exception):
     """Base class for all deliberate failures."""
 
 
-class DivisionByZero(SkewresError):
-    """Multiplicative inverse of zero requested."""
+class InvalidInput(SkewresError, ValueError):
+    """Malformed input, or input outside the operation's domain."""
 
 
-class NotRationallyNormalizable(SkewresError):
-    """Imaginary part has no rational norm, so no rational unit exists."""
-
-
-class RealArgument(SkewresError):
-    """A real quaternion has no associated imaginary unit or sphere axis."""
-
-
-class ZeroPolynomial(SkewresError):
-    """Operation requires a nonzero polynomial."""
+class HypothesisViolation(SkewresError):
+    """Well-formed input that breaks a hypothesis of the operation."""
 
 
 class InternalRealityViolation(SkewresError):
-    """A value that must be real by construction came out non-real."""
+    """A value that must hold by construction did not: an internal fault."""
 
 
-class DegreeTooLow(SkewresError):
+class DivisionByZero(InvalidInput):
+    """Multiplicative inverse of zero requested."""
+
+
+class NotRationallyNormalizable(InvalidInput):
+    """Imaginary part has no rational norm, so no rational unit exists."""
+
+
+class RealArgument(InvalidInput):
+    """A real quaternion has no associated imaginary unit or sphere axis."""
+
+
+class ZeroPolynomial(InvalidInput):
+    """Operation requires a nonzero polynomial."""
+
+
+class DegreeTooLow(InvalidInput):
     """Polynomial degree too small for the requested operation."""
 
 
-class NonSquare(SkewresError):
+class NonSquare(InvalidInput):
     """Determinant of a non-square matrix requested."""
 
 
-class DimensionMismatch(SkewresError):
+class DimensionMismatch(InvalidInput):
     """Matrix/vector shapes are incompatible."""
 
 
-class IndexOutOfRange(SkewresError):
+class IndexOutOfRange(InvalidInput):
     """Row or column index outside the matrix."""
 
 
-class SingularSystem(SkewresError):
+class SingularSystem(HypothesisViolation):
     """Linear system has no unique solution."""
 
 
-class NonCommutingPoint(SkewresError):
+class NonCommutingPoint(HypothesisViolation):
     """Two-variable evaluation point (a, b) with ab != ba."""
 
 
-class MixedVariableError(SkewresError):
+class MixedVariableError(InvalidInput):
     """Expression mixes the one-variable and two-variable indeterminates."""
 
 
-class ExprSyntaxError(SkewresError):
+class ExprSyntaxError(InvalidInput):
     """Parse failure, carrying the byte offset and the expected token set."""
 
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
@@ -72,5 +92,5 @@ class ExprSyntaxError(SkewresError):
         return f"{base} at offset {self.offset}"
 
 
-class SchemaError(SkewresError):
+class SchemaError(InvalidInput):
     """JSON document does not match the published schema."""

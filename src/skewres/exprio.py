@@ -131,7 +131,7 @@ def _tokenize(text: str) -> list[_Token]:
                     pos = den_start
                     while pos < n and text[pos] in _DIGITS:
                         pos += 1
-                    if int(text[den_start:pos]) == 0:
+                    if not text[den_start:pos].strip("0"):
                         raise ExprSyntaxError("zero denominator in rational literal", start)
             toks.append(_Token("number", text[start:pos], start, pos))
             continue
@@ -215,7 +215,7 @@ class _Parser:
             if tok.kind != "number" or "/" in tok.text:
                 self.fail(("non-negative integer exponent",))
             self.take()
-            node = Pow(node, int(tok.text))
+            node = Pow(node, int(_rat_of_token(tok)))
         return node
 
     def atom(self, depth):
@@ -224,7 +224,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.take()
-            lit = RationalLit(_rat_of_token(tok.text))
+            lit = RationalLit(_rat_of_token(tok))
             nxt = self.peek()
             # a unit glued to a number ("2i", "3/2k") is one literal factor
             if nxt.kind == "unit" and nxt.start == tok.end:
@@ -259,11 +259,14 @@ class _Parser:
         self.fail(("number", "i/j/k", "q/q1/q2", "conj", "symm", "("))
 
 
-def _rat_of_token(text: str):
-    if "/" in text:
-        num, den = text.split("/")
-        return Rational(int(num), int(den))
-    return Rational(int(text))
+def _rat_of_token(tok: _Token):
+    try:
+        if "/" in tok.text:
+            num, den = tok.text.split("/")
+            return Rational(int(num), int(den))
+        return Rational(int(tok.text))
+    except ValueError as exc:  # more digits than int() converts
+        raise ExprSyntaxError(str(exc), tok.start) from None
 
 
 def parse(text: str):
@@ -369,121 +372,80 @@ def lower2(node) -> Poly2:
 # canonical printer
 
 
-def _comp_pieces(c: Quaternion) -> list[tuple[int, str]]:
-    """Signed single-component pieces of a constant, like -1j or 3/2."""
-    pieces = []
-    for value, unit in ((c.w, ""), (c.x, "i"), (c.y, "j"), (c.z, "k")):
-        if not value:
-            continue
-        sign = 1 if value > 0 else -1
-        pieces.append((sign, f"{abs(value)}{unit}"))
-    return pieces
+def _latex_rat(value) -> str:
+    if value.denominator == 1:
+        return str(value)
+    return f"\\tfrac{{{value.numerator}}}{{{value.denominator}}}"
 
 
-def _mono_text(n: int, m: int, one_var: bool) -> str:
-    if one_var:
-        return "" if n == 0 else ("q" if n == 1 else f"q^{n}")
-    parts = []
-    if n:
-        parts.append("q1" if n == 1 else f"q1^{n}")
-    if m:
-        parts.append("q2" if m == 1 else f"q2^{m}")
-    return "*".join(parts)
+# How one style writes a term: the format of a nonnegative rational, the
+# names of q, q1 and q2, a power, the text between two variables and before
+# a coefficient, and a group of several coefficient components.
+_TEXT = (str, ("q", "q1", "q2"), "{}^{}", "*", "*", "({})")
+_LATEX = (_latex_rat, ("q", "q_1", "q_2"), "{}^{{{}}}", "", "\\,", "\\left({}\\right)")
 
 
-def _term_pieces(mono: str, c: Quaternion) -> list[tuple[int, str]]:
-    pieces = _comp_pieces(c)
-    if not mono:
-        return pieces
-    if len(pieces) == 1:
-        sign, text = pieces[0]
-        if text == "1":
-            return [(sign, mono)]
-        return [(sign, f"{mono}*{text}")]
-    joined = _join_pieces(pieces)
-    return [(1, f"{mono}*({joined})")]
-
-
-def _join_pieces(pieces: list[tuple[int, str]]) -> str:
-    out = []
-    for idx, (sign, text) in enumerate(pieces):
-        if idx == 0:
-            out.append(f"-{text}" if sign < 0 else text)
-        else:
-            out.append(f" - {text}" if sign < 0 else f" + {text}")
-    return "".join(out)
-
-
-def _term_list(p) -> list[tuple[int, int, Quaternion, bool]]:
+def _term_list(p) -> list[tuple[int, int, Quaternion]]:
     # graded lexicographic order on (n, m), constants first
     if isinstance(p, Poly1):
-        return [(n, 0, c, True) for n, c in enumerate(p.coeffs) if c]
-    terms = [
-        (n, m, c, False)
-        for n, row in enumerate(p.coeffs)
-        for m, c in enumerate(row)
-        if c
-    ]
+        return [(n, 0, c) for n, c in enumerate(p.coeffs) if c]
+    terms = [(n, m, c) for n, row in enumerate(p.coeffs) for m, c in enumerate(row) if c]
     terms.sort(key=lambda t: (t[0] + t[1], t[0], t[1]))
     return terms
 
 
-def print_poly(p) -> str:
-    """Canonical text form; parse(print_poly(p)) lowers back to p."""
+def _join_pieces(pieces: list[tuple[bool, str]]) -> str:
+    out = []
+    for idx, (negative, text) in enumerate(pieces):
+        if idx == 0:
+            out.append(f"-{text}" if negative else text)
+        else:
+            out.append(f" - {text}" if negative else f" + {text}")
+    return "".join(out)
+
+
+def _render(p, style) -> str:
+    """Terms as signed pieces, each a monomial with its coefficient on the
+    right: a coefficient of one component shares the term's sign, one of
+    several is grouped, and a bare 1 is left out."""
+    rat, (q, q1, q2), power, var_sep, coeff_sep, group = style
+    one_var = isinstance(p, Poly1)
     pieces = []
-    for n, m, c, one_var in _term_list(p):
-        pieces.extend(_term_pieces(_mono_text(n, m, one_var), c))
-    if not pieces:
-        return "0"
-    return _join_pieces(pieces)
-
-
-def _latex_rat(value) -> str:
-    num, den = value.numerator, value.denominator
-    if den == 1:
-        return str(num)
-    if num < 0:
-        return f"-\\tfrac{{{-num}}}{{{den}}}"
-    return f"\\tfrac{{{num}}}{{{den}}}"
-
-
-def _latex_mono(n: int, m: int, one_var: bool) -> str:
-    def power(base, e):
-        return "" if e == 0 else (base if e == 1 else f"{base}^{{{e}}}")
-
-    if one_var:
-        return power("q", n)
-    return power("q_1", n) + power("q_2", m)
-
-
-def print_latex(p) -> str:
-    """Plain LaTeX form of the same canonical ordering; no round-trip law."""
-    chunks = []
-    for n, m, c, one_var in _term_list(p):
-        mono = _latex_mono(n, m, one_var)
+    for n, m, c in _term_list(p):
+        exps = ((q, n),) if one_var else ((q1, n), (q2, m))
+        mono = var_sep.join(name if e == 1 else power.format(name, e) for name, e in exps if e)
         comp = [
-            (1 if v > 0 else -1, f"{_latex_rat(abs(v))}{u}")
+            (v < 0, f"{rat(abs(v))}{u}")
             for v, u in ((c.w, ""), (c.x, "i"), (c.y, "j"), (c.z, "k"))
             if v
         ]
         if not mono:
-            chunks.extend(comp)
+            pieces.extend(comp)
         elif len(comp) == 1:
-            sign, text = comp[0]
-            chunks.append((sign, mono if text == "1" else f"{mono}\\,{text}"))
+            negative, text = comp[0]
+            pieces.append((negative, mono if text == "1" else f"{mono}{coeff_sep}{text}"))
         else:
-            chunks.append((1, f"{mono}\\,\\left({_join_pieces(comp)}\\right)"))
-    if not chunks:
-        return "0"
-    return _join_pieces(chunks)
+            pieces.append((False, f"{mono}{coeff_sep}{group.format(_join_pieces(comp))}"))
+    return _join_pieces(pieces) if pieces else "0"
+
+
+def print_poly(p) -> str:
+    """Canonical text form; parse(print_poly(p)) lowers back to p."""
+    return _render(p, _TEXT)
+
+
+def print_latex(p) -> str:
+    """Plain LaTeX form of the same canonical ordering; no round-trip law."""
+    return _render(p, _LATEX)
 
 
 # ---------------------------------------------------------------------------
 # JSON forms (versioned)
 
 
-def _rat_text(value) -> str:
-    return str(value)
+def _document(schema: str, **fields) -> dict:
+    """A versioned JSON document: the schema/version header, then the fields."""
+    return {"schema": f"skewres/{schema}", "version": SCHEMA_VERSION, **fields}
 
 
 def _rat_value(raw):
@@ -502,14 +464,43 @@ def _rat_value(raw):
     raise SchemaError(f"not a rational: {raw!r}")
 
 
+def _json_int(digits: str) -> int:
+    """parse_int for json.loads: an integer past Python's digit limit for
+    int() is a schema error, not a bare ValueError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def _quat_json(c: Quaternion) -> list[str]:
-    return [_rat_text(c.w), _rat_text(c.x), _rat_text(c.y), _rat_text(c.z)]
+    return [str(c.w), str(c.x), str(c.y), str(c.z)]
 
 
 def _quat_value(raw) -> Quaternion:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise SchemaError(f"quaternion must be a 4-element list, got {raw!r}")
     return Quaternion(*(_rat_value(v) for v in raw))
+
+
+def _poly1_value(raw, field: str) -> Poly1:
+    if not isinstance(raw, list):
+        raise SchemaError(f"{field} must be a list")
+    return Poly1([_quat_value(c) for c in raw])
+
+
+def _real_json(rp: RealPoly) -> list[str]:
+    return [str(c) for c in rp.coeffs]
+
+
+def _sdet_json(sdet: tuple[RealPoly, RealPoly]) -> dict:
+    num, den = sdet
+    return {"num": _real_json(num), "den": _real_json(den)}
+
+
+def _frac_json(f: OreFrac) -> dict:
+    """A fraction by its left view d^{-1} n, as a matrix entry."""
+    return {"den": [_quat_json(c) for c in f.den.coeffs], "num": [_quat_json(c) for c in f.num.coeffs]}
 
 
 def _check_header(doc, schema: str):
@@ -522,27 +513,16 @@ def _check_header(doc, schema: str):
 
 
 def poly1_to_json(p: Poly1) -> dict:
-    return {
-        "schema": "skewres/poly1",
-        "version": SCHEMA_VERSION,
-        "coeffs": [_quat_json(c) for c in p.coeffs],
-    }
+    return _document("poly1", coeffs=[_quat_json(c) for c in p.coeffs])
 
 
 def poly1_from_json(doc) -> Poly1:
     _check_header(doc, "skewres/poly1")
-    coeffs = doc.get("coeffs")
-    if not isinstance(coeffs, list):
-        raise SchemaError("coeffs must be a list")
-    return Poly1([_quat_value(c) for c in coeffs])
+    return _poly1_value(doc.get("coeffs"), "coeffs")
 
 
 def poly2_to_json(p: Poly2) -> dict:
-    return {
-        "schema": "skewres/poly2",
-        "version": SCHEMA_VERSION,
-        "grid": [[_quat_json(c) for c in row] for row in p.coeffs],
-    }
+    return _document("poly2", grid=[[_quat_json(c) for c in row] for row in p.coeffs])
 
 
 def poly2_from_json(doc) -> Poly2:
@@ -553,20 +533,8 @@ def poly2_from_json(doc) -> Poly2:
     return Poly2([[_quat_value(c) for c in row] for row in grid])
 
 
-def _real_json(rp: RealPoly) -> list[str]:
-    return [_rat_text(c) for c in rp.coeffs]
-
-
 def matrix_to_json(mat) -> dict:
-    return {
-        "schema": "skewres/matrix",
-        "version": SCHEMA_VERSION,
-        "entries": [
-            [{"den": [_quat_json(c) for c in e.den.coeffs],
-              "num": [_quat_json(c) for c in e.num.coeffs]} for e in row]
-            for row in mat.entries
-        ],
-    }
+    return _document("matrix", entries=[[_frac_json(e) for e in row] for row in mat.entries])
 
 
 def matrix_from_json(doc):
@@ -582,24 +550,20 @@ def matrix_from_json(doc):
         for cell in row:
             if not isinstance(cell, dict) or set(cell) != {"den", "num"}:
                 raise SchemaError("matrix entries need den and num")
-            den = Poly1([_quat_value(c) for c in cell["den"]])
-            num = Poly1([_quat_value(c) for c in cell["num"]])
-            out.append(OreFrac(den, num))
+            out.append(OreFrac(_poly1_value(cell["den"], "den"), _poly1_value(cell["num"], "num")))
         rows.append(out)
     return SkewMatrix(rows)
 
 
 def report_to_json(report) -> dict:
     """ResultantReport as a JSON document, representative included."""
-    num, den = report.sdet
     rep = report.representative
-    return {
-        "schema": "skewres/resultant",
-        "version": SCHEMA_VERSION,
-        "wrt": report.wrt,
-        "size": report.sylvester.nrows,
-        "is_zero": report.is_zero,
-        "sdet": {"num": _real_json(num), "den": _real_json(den)},
-        "sylvester": matrix_to_json(report.sylvester),
-        "representative": None if rep is None else poly1_to_json(rep),
-    }
+    return _document(
+        "resultant",
+        wrt=report.wrt,
+        size=report.sylvester.nrows,
+        is_zero=report.is_zero,
+        sdet=_sdet_json(report.sdet),
+        sylvester=matrix_to_json(report.sylvester),
+        representative=None if rep is None else poly1_to_json(rep),
+    )

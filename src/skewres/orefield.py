@@ -19,7 +19,7 @@ the central form.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, ZeroPolynomial
+from .errors import DivisionByZero, InternalRealityViolation, ZeroPolynomial
 from .polyone import (
     ONE_P,
     Poly1,
@@ -222,7 +222,7 @@ def _left_view(num: Poly1, den: RealPoly) -> tuple[Poly1, Poly1]:
 def _left_quot_exact(f: Poly1, g: Poly1) -> Poly1:
     quot, rem = left_divmod(f, g)
     if not rem.is_zero:
-        raise ZeroPolynomial("inexact cancellation of a common left divisor")
+        raise InternalRealityViolation("inexact cancellation of a common left divisor")
     return quot
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalRealityViolation, RealArgument, ZeroPolynomial
+from .errors import InternalRealityViolation, InvalidInput, RealArgument, ZeroPolynomial
 from .quaternion import ONE, ZERO, Quaternion, Rational, Sphere, convolve, sphere_of
 
 _R0 = Rational(0)
@@ -147,7 +147,7 @@ class Poly1:
 
     def star_pow(self, n: int) -> "Poly1":
         if n < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InvalidInput("negative power of a polynomial")
         result = Poly1((ONE,))
         base = self
         while n:
@@ -661,5 +661,5 @@ def real_gcd(f: RealPoly, g: RealPoly) -> RealPoly:
 def real_div_exact(f: RealPoly, g: RealPoly) -> RealPoly:
     quot, rem = real_divmod(f, g)
     if not rem.is_zero:
-        raise ZeroPolynomial("inexact division where exact was required")
+        raise InternalRealityViolation("inexact division where exact was required")
     return quot

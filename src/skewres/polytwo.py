@@ -11,7 +11,7 @@ the other) are what the elimination theory consumes.
 
 from __future__ import annotations
 
-from .errors import ZeroPolynomial
+from .errors import InvalidInput, ZeroPolynomial
 from .polyone import Poly1
 from .quaternion import ONE, ZERO, Quaternion, Rational, convolve
 
@@ -62,7 +62,7 @@ class Poly2:
             return Poly2([[c] for c in p.coeffs])
         if var == "q2":
             return Poly2([list(p.coeffs)])
-        raise ValueError(f"unknown variable {var!r}")
+        raise InvalidInput(f"unknown variable {var!r}")
 
     @staticmethod
     def from_q1_coeffs(views: list[Poly1]) -> "Poly2":
@@ -101,7 +101,7 @@ class Poly2:
             return self.deg_q1
         if var == "q2":
             return self.deg_q2
-        raise ValueError(f"unknown variable {var!r}")
+        raise InvalidInput(f"unknown variable {var!r}")
 
     def coeffs_in_q1(self) -> list[Poly1]:
         """views[n] in H[q2] with P = sum q1^n * views[n]."""
@@ -199,7 +199,7 @@ class Poly2:
 
     def star_pow(self, n: int) -> "Poly2":
         if n < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InvalidInput("negative power of a polynomial")
         result = Poly2.const(ONE)
         base = self
         while n:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 
-from .errors import DivisionByZero, NotRationallyNormalizable, RealArgument
+from .errors import DivisionByZero, InvalidInput, NotRationallyNormalizable, RealArgument
 
 _R0 = Rational(0)
 _R1 = Rational(1)
@@ -220,7 +220,7 @@ class Sphere:
         object.__setattr__(self, "re", Rational(self.re))
         object.__setattr__(self, "norm_im_sq", Rational(self.norm_im_sq))
         if self.norm_im_sq < 0:
-            raise ValueError("norm_im_sq must be nonnegative")
+            raise InvalidInput("norm_im_sq must be nonnegative")
 
     def is_real_point(self) -> bool:
         return self.norm_im_sq == 0

@@ -25,6 +25,7 @@ from .dieudonne import (
 from .errors import (
     DegreeTooLow,
     InternalRealityViolation,
+    InvalidInput,
     NonCommutingPoint,
     SingularSystem,
     ZeroPolynomial,
@@ -37,7 +38,7 @@ from .quaternion import Quaternion
 
 def _check_var(wrt: str) -> str:
     if wrt not in ("q1", "q2"):
-        raise ValueError(f"unknown variable {wrt!r}")
+        raise InvalidInput(f"unknown variable {wrt!r}")
     return wrt
 
 
@@ -147,9 +148,7 @@ def _clear_right(vec: list[OreFrac]) -> tuple[list[Poly1], RealPoly]:
     """
     t = RealPoly([1])
     for f in vec:
-        # not real_div_exact: a wrong lcm must surface as the internal
-        # fault below, not as the ZeroPolynomial of bad input
-        t = t * real_divmod(f.cden, real_gcd(t, f.cden))[0]
+        t = t * real_div_exact(f.cden, real_gcd(t, f.cden))
     out = []
     for f in vec:
         quot, rem = real_divmod(t, f.cden)
@@ -311,11 +310,21 @@ def _real_views(s: Poly2, wrt: str) -> list[RealPoly]:
 
 
 def classical_resultant(av: list[RealPoly], bv: list[RealPoly]) -> RealPoly:
-    """Ordinary commutative resultant from coefficient views (ascending):
-    the band's determinant, interpolated from signed determinants at points."""
+    """Ordinary commutative resultant from coefficient views (ascending),
+    with the sign of the textbook Sylvester determinant.
+
+    The band's determinant is interpolated from signed determinants at
+    points. The band is the textbook Sylvester matrix (descending
+    coefficients, rows of a then rows of b) transposed, with its columns and
+    the rows of each block reversed, which multiplies the determinant by
+    (-1)^(n*m) for n = len(av) - 1 and m = len(bv) - 1. The tests compare
+    with sympy's determinant of the textbook matrix; sympy.resultant can
+    differ from it in sign.
+    """
     if not av or not bv:
         raise ZeroPolynomial("classical resultant of the zero polynomial")
-    return _point_det(_band(av, bv, RealPoly()), 1, _signed_det)
+    value = _point_det(_band(av, bv, RealPoly()), 1, _signed_det)
+    return -value if (len(av) - 1) * (len(bv) - 1) % 2 else value
 
 
 @dataclass(frozen=True)

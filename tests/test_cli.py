@@ -4,8 +4,18 @@ import json
 
 import pytest
 
+from skewres import cli
 from skewres.cli import main
 from skewres.dieudonne import SkewMatrix
+from skewres.errors import (
+    DivisionByZero,
+    HypothesisViolation,
+    IndexOutOfRange,
+    InternalRealityViolation,
+    InvalidInput,
+    SingularSystem,
+    SkewresError,
+)
 from skewres.exprio import lower1, matrix_to_json, parse
 
 GOLD_P = "(q1-i)*(q2-j)"
@@ -145,6 +155,12 @@ def test_det_subcommand(capsys):
     assert doc["sdet"]["num"] == ["1", "0", "2", "0", "1"]
     assert run(capsys, "det", "not json")[0] == 1
     assert run(capsys, "det", '{"schema": "skewres/matrix", "version": 2, "entries": []}')[0] == 1
+    entry = '{"den": 1, "num": []}'
+    code, _, err = run(capsys, "det", f'{{"schema": "skewres/matrix", "version": 1, "entries": [[{entry}]]}}')
+    assert code == 1 and "den must be a list" in err
+    # more digits than int() converts: bad input, in a matrix or an expression
+    assert run(capsys, "det", "[1" + "0" * 5000 + "]")[0] == 1
+    assert run(capsys, "symm", "q - " + "9" * 5000)[0] == 1
 
 
 def test_selftest_all_pass(capsys):
@@ -188,3 +204,42 @@ def test_eval_and_factor_json_documents_are_pinned(capsys):
         "p_value": ["13/2", "-1", "-1/2", "1"],
         "q_value": ["11/2", "-1", "-1", "-1/2"],
     }
+
+
+def test_every_error_has_exactly_one_kind():
+    kinds = (InvalidInput, HypothesisViolation, InternalRealityViolation)
+    todo, seen = [SkewresError], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            seen.append(sub)
+    assert cli._CliError in seen and len(seen) > 15
+    for cls in seen:
+        assert sum(issubclass(cls, kind) for kind in kinds) == 1, cls.__name__
+    assert issubclass(InvalidInput, ValueError)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (IndexOutOfRange("row 3 outside the matrix"), 1),
+        (DivisionByZero("inverse of zero"), 1),
+        (SingularSystem("singular"), 2),
+        (InternalRealityViolation("self-check failed"), None),
+        (ValueError("not raised on purpose"), None),
+    ],
+    ids=("index", "division", "singular", "internal", "stray"),
+)
+def test_exit_code_by_error_kind(capsys, monkeypatch, exc, code):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "resultant", fail)
+    argv = ("res", "--wrt", "q1", GOLD_P, GOLD_Q)
+    if code is None:
+        # internal faults and stray exceptions surface as tracebacks
+        with pytest.raises(type(exc)):
+            main(list(argv))
+        return
+    got, out, err = run(capsys, *argv)
+    assert (got, out, err) == (code, "", f"error: {exc}\n")

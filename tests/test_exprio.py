@@ -133,6 +133,25 @@ def test_print_examples():
     assert print_latex(p) == "1k - q_2\\,1i - q_1\\,1j + q_1q_2"
     assert print_latex(Poly2()) == "0"
     assert print_latex(lower2(parse("3/2*q1^2"))) == "q_1^{2}\\,\\tfrac{3}{2}"
+    for text, plain, latex in (
+        (
+            "q1^2*q2^3*(1/2 - 3i + k)",
+            "q1^2*q2^3*(1/2 - 3i + 1k)",
+            "q_1^{2}q_2^{3}\\,\\left(\\tfrac{1}{2} - 3i + 1k\\right)",
+        ),
+        (
+            "-3/4*q^3 + q*(2 - j)",
+            "q*(2 - 1j) - q^3*3/4",
+            "q\\,\\left(2 - 1j\\right) - q^{3}\\,\\tfrac{3}{4}",
+        ),
+        (
+            "q2^2*(-5/2) - q1*q2*(i + j)",
+            "-q2^2*5/2 + q1*q2*(-1i - 1j)",
+            "-q_2^{2}\\,\\tfrac{5}{2} + q_1q_2\\,\\left(-1i - 1j\\right)",
+        ),
+    ):
+        p = lower(parse(text))
+        assert (print_poly(p), print_latex(p)) == (plain, latex)
 
 
 def test_round_trip_random_poly2():
@@ -148,6 +167,16 @@ def test_round_trip_random_poly1():
     for _ in range(100):
         p = Poly1([rand_quat(rng) for _ in range(rng.randint(1, 6))])
         assert lower1(parse(print_poly(p))) == p
+
+
+def test_overlong_number_literals_are_syntax_errors():
+    # int() refuses more than 4300 digits by default; the parser stays total
+    for text in ("9" * 5000, "1/" + "7" * 5000, "q^" + "2" * 5000):
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
+    assert lower1(parse("q^2 + 0/7")) == lower1(parse("q^2"))
+    with pytest.raises(ExprSyntaxError, match="zero denominator"):
+        parse("1/000")
 
 
 @settings(max_examples=300, deadline=None)

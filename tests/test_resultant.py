@@ -244,26 +244,32 @@ def test_symmetrized_resultant_criterion():
     assert rep2.classical is None and rep2.holds is None
 
 
-def _sympy_resultant(av, bv):
-    x, y = sympy.symbols("x y")
+def _textbook_sylvester_det(av, bv):
+    """sympy's determinant of the textbook Sylvester matrix in y: m shifted
+    rows of a above n shifted rows of b, coefficients descending."""
+    x = sympy.Symbol("x")
 
-    def poly(views):
-        return sum(
-            sympy.Rational(c.numerator, c.denominator) * x**k * y**n
-            for n, v in enumerate(views)
-            for k, c in enumerate(v.coeffs)
-        )
+    def descending(views):
+        return [
+            sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(v.coeffs))
+            for v in reversed(views)
+        ]
 
-    want = sympy.resultant(sympy.Poly(poly(av), y), sympy.Poly(poly(bv), y), y)
-    return sympy.Poly(sympy.expand(want), x)
+    a, b = descending(av), descending(bv)
+    n, m = len(a) - 1, len(b) - 1
+    mat = sympy.zeros(n + m, n + m)
+    for row, (shifts, coeffs) in enumerate([(i, a) for i in range(m)] + [(i, b) for i in range(n)]):
+        for t, c in enumerate(coeffs):
+            mat[row, shifts + t] = c
+    return sympy.expand(mat.det())
 
 
 def _assert_classical_matches_sympy(av, bv):
     ours = classical_resultant(av, bv)
-    want = _sympy_resultant(av, bv)
+    want = _textbook_sylvester_det(av, bv)
     x = sympy.Symbol("x")
     got = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(ours.coeffs))
-    assert sympy.expand(got - want.as_expr()) == 0
+    assert sympy.expand(got - want) == 0
     return ours
 
 
@@ -285,6 +291,20 @@ def test_classical_resultant_matches_sympy():
     av = [RealPoly([0, -1]), RealPoly([1, -1]), RealPoly([1])]
     bv = [RealPoly([0, -2]), RealPoly([2, -1]), RealPoly([1])]
     assert _assert_classical_matches_sympy(av, bv).is_zero
+    # odd n*m, where the band's determinant has the opposite sign:
+    # a = 3 y + 2, b = 8 y^3 + 7 y^2 + 6 y + 5 gives 3^3 b(-2/3) = 47
+    av = [RealPoly([2]), RealPoly([3])]
+    bv = [RealPoly([5]), RealPoly([6]), RealPoly([7]), RealPoly([8])]
+    assert _assert_classical_matches_sympy(av, bv) == RealPoly([47])
+    assert _assert_classical_matches_sympy(bv, av) == RealPoly([-47])
+    # (1, 1): a = x y + 1, b = y - x gives -(x^2 + 1)
+    av = [RealPoly([1]), RealPoly([0, 1])]
+    bv = [RealPoly([0, -1]), RealPoly([1])]
+    assert _assert_classical_matches_sympy(av, bv) == RealPoly([-1, 0, -1])
+    # (3, 1) with entries in x: a = y^3 + x y + 2, b = (x + 1) y - 1
+    av = [RealPoly([2]), RealPoly([0, 1]), RealPoly(), RealPoly([1])]
+    bv = [RealPoly([-1]), RealPoly([1, 1])]
+    assert not _assert_classical_matches_sympy(av, bv).is_zero
     # wherever the determinant is nonzero, the pivot rows run 1, 0, 2, an
     # odd permutation: a = x y^2 + y, b = 2 y + (1 + x)
     av = [RealPoly(), RealPoly([1]), RealPoly([0, 1])]
