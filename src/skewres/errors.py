@@ -92,5 +92,9 @@ class ExprSyntaxError(InvalidInput):
         return f"{base} at offset {self.offset}"
 
 
+class OutputTooLong(InvalidInput):
+    """A number to print has more digits than Python converts to text."""
+
+
 class SchemaError(InvalidInput):
     """JSON document does not match the published schema."""

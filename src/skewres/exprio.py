@@ -10,9 +10,8 @@ back to p exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ExprSyntaxError, MixedVariableError, SchemaError
+from ._record import Record
+from .errors import ExprSyntaxError, MixedVariableError, OutputTooLong, SchemaError
 from .orefield import OreFrac
 from .polyone import Poly1, RealPoly
 from .polytwo import VAR_Q1, VAR_Q2, Poly2
@@ -24,63 +23,48 @@ SCHEMA_VERSION = 1
 # syntax trees
 
 
-@dataclass(frozen=True)
-class RationalLit:
-    value: object  # Rational
+class RationalLit(Record):
+    __slots__ = ("value",)  # Rational
 
 
-@dataclass(frozen=True)
-class UnitLit:
-    name: str  # "i" | "j" | "k"
+class UnitLit(Record):
+    __slots__ = ("name",)  # "i" | "j" | "k"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "q" | "q1" | "q2"
+class Var(Record):
+    __slots__ = ("name",)  # "q" | "q1" | "q2"
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Add:
-    lhs: object
-    rhs: object
+class Add(Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Sub:
-    lhs: object
-    rhs: object
+class Sub(Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class StarMul:
-    lhs: object
-    rhs: object
+class StarMul(Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(Record):
+    __slots__ = ("base", "exponent")  # exponent: int
 
 
-@dataclass(frozen=True)
-class Conj:
-    arg: object
+class Conj(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Symm:
-    arg: object
+class Symm(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Paren:
-    arg: object
+class Paren(Record):
+    __slots__ = ("arg",)
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +77,8 @@ _SYMBOLS = "+-*^()"
 _DIGITS = "0123456789"
 
 
-class _Token:
+class _Token(Record):
     __slots__ = ("kind", "text", "start", "end")
-
-    def __init__(self, kind, text, start, end):
-        self.kind = kind
-        self.text = text
-        self.start = start
-        self.end = end
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r}, {self.start})"
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -289,13 +264,8 @@ def parse(text: str):
 def variables(node) -> frozenset:
     if isinstance(node, Var):
         return frozenset((node.name,))
-    if isinstance(node, (Neg, Conj, Symm, Paren)):
-        return variables(node.arg)
-    if isinstance(node, (Add, Sub, StarMul)):
-        return variables(node.lhs) | variables(node.rhs)
-    if isinstance(node, Pow):
-        return variables(node.base)
-    return frozenset()
+    children = node._fields() if isinstance(node, Record) else ()
+    return frozenset().union(*(variables(child) for child in children))
 
 
 _UNIT_VALUES = {
@@ -372,16 +342,23 @@ def lower2(node) -> Poly2:
 # canonical printer
 
 
-def _latex_rat(value) -> str:
-    if value.denominator == 1:
+def _digits(value) -> str:
+    """str() of an integer or a rational, for every printer and JSON writer."""
+    try:
         return str(value)
-    return f"\\tfrac{{{value.numerator}}}{{{value.denominator}}}"
+    except ValueError as exc:  # Python's limit on integer-to-text conversion, named in exc
+        raise OutputTooLong(f"output number too long: {exc}") from None
+
+
+def _latex_rat(value) -> str:
+    num, slash, den = _digits(value).partition("/")
+    return f"\\tfrac{{{num}}}{{{den}}}" if slash else num
 
 
 # How one style writes a term: the format of a nonnegative rational, the
 # names of q, q1 and q2, a power, the text between two variables and before
 # a coefficient, and a group of several coefficient components.
-_TEXT = (str, ("q", "q1", "q2"), "{}^{}", "*", "*", "({})")
+_TEXT = (_digits, ("q", "q1", "q2"), "{}^{}", "*", "*", "({})")
 _LATEX = (_latex_rat, ("q", "q_1", "q_2"), "{}^{{{}}}", "", "\\,", "\\left({}\\right)")
 
 
@@ -474,7 +451,7 @@ def _json_int(digits: str) -> int:
 
 
 def _quat_json(c: Quaternion) -> list[str]:
-    return [str(c.w), str(c.x), str(c.y), str(c.z)]
+    return [_digits(c.w), _digits(c.x), _digits(c.y), _digits(c.z)]
 
 
 def _quat_value(raw) -> Quaternion:
@@ -490,7 +467,7 @@ def _poly1_value(raw, field: str) -> Poly1:
 
 
 def _real_json(rp: RealPoly) -> list[str]:
-    return [str(c) for c in rp.coeffs]
+    return [_digits(c) for c in rp.coeffs]
 
 
 def _sdet_json(sdet: tuple[RealPoly, RealPoly]) -> dict:

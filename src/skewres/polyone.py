@@ -22,8 +22,8 @@ resultant.classical_resultant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InternalRealityViolation, InvalidInput, RealArgument, ZeroPolynomial
 from .quaternion import ONE, ZERO, Quaternion, Rational, Sphere, convolve, sphere_of
 
@@ -465,16 +465,17 @@ def lcrm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
     return m.conj(), u.conj(), v.conj()
 
 
-@dataclass(frozen=True)
-class RootClassification:
+class RootClassification(Record):
     """Outcome of testing a sphere against a polynomial's zero set.
 
     kind is "spherical" (the whole sphere consists of zeros), "isolated"
     (exactly one zero on the sphere, reported in point) or "none".
     """
 
-    kind: str
-    point: "Quaternion | None" = None
+    __slots__ = ("kind", "point")
+
+    def __init__(self, kind: str, point: "Quaternion | None" = None):
+        super().__init__(kind, point)
 
 
 def char_poly(s: Sphere) -> "RealPoly":

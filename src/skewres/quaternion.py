@@ -10,9 +10,9 @@ Products follow the Hamilton table with i*j = k, j*k = i, k*i = j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 
+from ._record import Record
 from .errors import DivisionByZero, InvalidInput, NotRationallyNormalizable, RealArgument
 
 _R0 = Rational(0)
@@ -205,20 +205,17 @@ def commutes(a: Quaternion, b: Quaternion) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(Record):
     """A conjugacy sphere, stored rationally as (real part, |imaginary part|^2).
 
     All quaternions x + I*y with I^2 = -1 and fixed (x, y^2) form one sphere;
     norm_im_sq = 0 degenerates to a real point.
     """
 
-    re: "Rational"
-    norm_im_sq: "Rational"
+    __slots__ = ("re", "norm_im_sq")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Rational(self.re))
-        object.__setattr__(self, "norm_im_sq", Rational(self.norm_im_sq))
+    def __init__(self, re, norm_im_sq):
+        super().__init__(Rational(re), Rational(norm_im_sq))
         if self.norm_im_sq < 0:
             raise InvalidInput("norm_im_sq must be nonnegative")
 

@@ -10,8 +10,7 @@ sdet, with a signed determinant in place of the reduced norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .dieudonne import (
     DetClass,
     SkewMatrix,
@@ -125,8 +124,7 @@ def resultant(p: Poly2, q: Poly2, wrt: str) -> ResultantReport:
     return ResultantReport(wrt, det(mat), mat)
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(Record):
     """Exact combination p*h + q*k = target with the target in one variable.
 
     h stays below deg_wrt(q) and k below deg_wrt(p) in the eliminated
@@ -134,10 +132,7 @@ class BezoutCertificate:
     kernel cofactors, nonzero and real for Bezout certificates).
     """
 
-    wrt: str
-    h: Poly2
-    k: Poly2
-    target: Poly1
+    __slots__ = ("wrt", "h", "k", "target")
 
 
 def _clear_right(vec: list[OreFrac]) -> tuple[list[Poly1], RealPoly]:
@@ -219,20 +214,11 @@ def bezout_certificate(p: Poly2, q: Poly2, wrt: str) -> BezoutCertificate:
     return BezoutCertificate(wrt, h, k, target)
 
 
-@dataclass(frozen=True)
-class CommonZeroReport:
+class CommonZeroReport(Record):
     """Outcome of testing a commuting point against both resultants."""
 
-    a: Quaternion
-    b: Quaternion
-    p_value: Quaternion
-    q_value: Quaternion
-    hypothesis_met: bool
-    sdet_q1_at_b: "Quaternion | None"
-    sdet_q2_at_a: "Quaternion | None"
-    rep_q1_at_b: "Quaternion | None"
-    rep_q2_at_a: "Quaternion | None"
-    holds: "bool | None"
+    __slots__ = ("a", "b", "p_value", "q_value", "hypothesis_met", "sdet_q1_at_b",
+                 "sdet_q2_at_a", "rep_q1_at_b", "rep_q2_at_a", "holds")
 
 
 def check_common_zero(p: Poly2, q: Poly2, a, b) -> CommonZeroReport:
@@ -265,8 +251,7 @@ def check_common_zero(p: Poly2, q: Poly2, a, b) -> CommonZeroReport:
     return CommonZeroReport(a, b, pv, qv, True, s1, s2, e1, e2, not s1 and not s2)
 
 
-@dataclass(frozen=True)
-class LeftFactorReport:
+class LeftFactorReport(Record):
     """Confirmed common left linear factors and the resultants they force.
 
     Each entry pairs a confirmed root a with the is_zero answer of the
@@ -274,9 +259,7 @@ class LeftFactorReport:
     its resultant to vanish.
     """
 
-    q1_factors: tuple
-    q2_factors: tuple
-    holds: bool
+    __slots__ = ("q1_factors", "q2_factors", "holds")
 
 
 def check_left_factor_criterion(
@@ -327,14 +310,10 @@ def classical_resultant(av: list[RealPoly], bv: list[RealPoly]) -> RealPoly:
     return -value if (len(av) - 1) * (len(bv) - 1) % 2 else value
 
 
-@dataclass(frozen=True)
-class SymmetrizedResultantReport:
+class SymmetrizedResultantReport(Record):
     """Commutative shadow of a vanishing skew resultant."""
 
-    wrt: str
-    applies: bool
-    classical: "RealPoly | None"
-    holds: "bool | None"
+    __slots__ = ("wrt", "applies", "classical", "holds")
 
 
 def symmetrized_resultant_criterion(p: Poly2, q: Poly2, wrt: str) -> SymmetrizedResultantReport:

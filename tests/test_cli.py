@@ -1,6 +1,10 @@
 """CLI surface: routing, exit codes, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,27 @@ def test_eval_one_variable(capsys):
     assert out.strip() == "0"
     code, _, err = run(capsys, "eval", "q^2 + 1", "--at", "i,j")
     assert code == 1 and "single point" in err
+
+
+def test_overlong_output_number_is_invalid_input(capsys):
+    # the square of a 3,000-digit constant passes Python's digit limit
+    text = "q - " + "9" * 3000
+    limit = str(sys.get_int_max_str_digits())
+    for mode in ((), ("--latex",), ("--json",)):
+        code, out, err = run(capsys, "symm", text, *mode)
+        assert (code, out) == (1, ""), mode
+        assert err.startswith("error: ") and err.count("\n") == 1 and limit in err, mode
+
+
+def test_cli_import_skips_dataclasses_and_introspection():
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, skewres.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exit_code_parse_failure(capsys):

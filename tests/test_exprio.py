@@ -49,6 +49,14 @@ def test_parse_spec_trees():
         Sub(Var("q1"), UnitLit("i")), Sub(Var("q2"), UnitLit("j"))
     )
     assert parse("q^2 + 1") == Add(Pow(Var("q"), 2), RationalLit(Rational(1)))
+    assert repr(parse("q^2 - i")) == (
+        "Sub(lhs=Pow(base=Var(name='q'), exponent=2), rhs=UnitLit(name='i'))"
+    )
+    a, b = Var("q1"), UnitLit("i")
+    assert Add(a, b) != Sub(a, b)
+    assert parse("q1 - i") == Sub(a, b) and hash(parse("q1 - i")) == hash(Sub(a, b))
+    with pytest.raises(AttributeError):
+        a.name = "q2"
     tree = parse("3/2*q1^2*q2*k - q2*i")
     assert isinstance(tree, Sub)
     assert lower2(parse(print_poly(lower2(tree)))) == lower2(tree)

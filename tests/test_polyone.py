@@ -10,6 +10,7 @@ from skewres.polyone import (
     ONE_P,
     Poly1,
     RealPoly,
+    RootClassification,
     VAR_Q,
     ZERO_P,
     char_poly,
@@ -416,7 +417,11 @@ def test_classify_isolated():
 
 def test_classify_none():
     f = Poly1([-(ONE + I), ONE])  # zero at 1 + i, off the unit sphere
-    assert classify_root_on_sphere(f, Sphere(0, 1)).kind == "none"
+    out = classify_root_on_sphere(f, Sphere(0, 1))
+    assert out == RootClassification("none")
+    assert repr(out) == "RootClassification(kind='none', point=None)"
+    with pytest.raises(AttributeError):
+        out.kind = "spherical"
 
 
 def test_classify_rejects_real_point():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from skewres.errors import DivisionByZero, NotRationallyNormalizable, RealArgument
+from skewres.errors import DivisionByZero, InvalidInput, NotRationallyNormalizable, RealArgument
 from skewres.quaternion import (
     I,
     J,
@@ -75,6 +75,12 @@ def test_sphere_of():
     assert sphere_of(Quaternion(2, 0, 0, 3)) == Sphere(2, 9)
     assert sphere_of(I) == sphere_of(J) == sphere_of(K) == Sphere(0, 1)
     assert sphere_of(Quaternion(5)).is_real_point()
+    assert repr(Sphere(2, 9)) == "Sphere(re=Fraction(2, 1), norm_im_sq=Fraction(9, 1))"
+    assert hash(sphere_of(I)) == hash(Sphere(0, 1))
+    with pytest.raises(AttributeError):
+        Sphere(0, 1).re = Rational(1)
+    with pytest.raises(InvalidInput):
+        Sphere(0, -1)
 
 
 def test_imaginary_unit_of():
