@@ -6,8 +6,9 @@ HypothesisViolation (a non-commuting evaluation point, or a Bezout request
 on a vanishing resultant). Each prints one "error:" line on stderr; an
 internal fault (InternalRealityViolation, or any exception not raised on
 purpose) propagates as a traceback. Every polynomial is shown by one
-helper, as text or with --latex as LaTeX. All numbers printed are exact
-rationals.
+helper, as text or with --latex as LaTeX, and every text report is printed
+whole by one more, so an error leaves stdout empty. All numbers printed are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _emit_lines(lines) -> None:
+    """Print a text report whole: every line is rendered before any is
+    printed, so an error while rendering leaves stdout empty."""
+    print("\n".join(lines))
+
+
 def _print_report(report, args) -> int:
     if args.json:
         _emit_json(report_to_json(report))
@@ -105,12 +112,14 @@ def _print_report(report, args) -> int:
     var = _other(report.wrt)
     num, den = report.sdet
     rep = report.representative
-    print(f"wrt: {report.wrt}")
-    print(f"size: {report.sylvester.nrows}")
-    print(f"is_zero: {'true' if report.is_zero else 'false'}")
-    print(f"sdet_num: {_show(num, args, var)}")
-    print(f"sdet_den: {_show(den, args, var)}")
-    print(f"representative: {'-' if rep is None else _show(rep, args, var)}")
+    _emit_lines([
+        f"wrt: {report.wrt}",
+        f"size: {report.sylvester.nrows}",
+        f"is_zero: {'true' if report.is_zero else 'false'}",
+        f"sdet_num: {_show(num, args, var)}",
+        f"sdet_den: {_show(den, args, var)}",
+        f"representative: {'-' if rep is None else _show(rep, args, var)}",
+    ])
     return 0
 
 
@@ -134,11 +143,13 @@ def _cmd_det(args) -> int:
         _emit_json(_document("det", is_zero=dc.is_zero, sdet=_sdet_json(dc.sdet), rep=_frac_json(dc.rep)))
     else:
         num, den = dc.sdet
-        print(f"is_zero: {'true' if dc.is_zero else 'false'}")
-        print(f"sdet_num: {_show(num, args)}")
-        print(f"sdet_den: {_show(den, args)}")
-        print(f"rep_den: {_show(dc.rep.den, args)}")
-        print(f"rep_num: {_show(dc.rep.num, args)}")
+        _emit_lines([
+            f"is_zero: {'true' if dc.is_zero else 'false'}",
+            f"sdet_num: {_show(num, args)}",
+            f"sdet_den: {_show(den, args)}",
+            f"rep_den: {_show(dc.rep.den, args)}",
+            f"rep_num: {_show(dc.rep.num, args)}",
+        ])
     return 0
 
 
@@ -158,7 +169,7 @@ def _cmd_eval(args) -> int:
     if args.json:
         _emit_json(_document("value", value=_quat_json(result)))
     else:
-        print(_show(result, args))
+        _emit_lines([_show(result, args)])
     return 0
 
 
@@ -168,7 +179,7 @@ def _cmd_symm(args) -> int:
     if args.json:
         _emit_json(poly1_to_json(symm) if isinstance(symm, Poly1) else poly2_to_json(symm))
     else:
-        print(_show(symm, args))
+        _emit_lines([_show(symm, args)])
     return 0
 
 
@@ -176,10 +187,8 @@ def _cofactors_json(cert) -> dict:
     return {"h": poly2_to_json(cert.h), "k": poly2_to_json(cert.k)}
 
 
-def _print_cofactors(cert, args) -> None:
-    print(f"wrt: {cert.wrt}")
-    print(f"h: {_show(cert.h, args)}")
-    print(f"k: {_show(cert.k, args)}")
+def _cofactor_lines(cert, args) -> list[str]:
+    return [f"wrt: {cert.wrt}", f"h: {_show(cert.h, args)}", f"k: {_show(cert.k, args)}"]
 
 
 def _cmd_bezout(args) -> int:
@@ -189,8 +198,8 @@ def _cmd_bezout(args) -> int:
             "bezout", wrt=cert.wrt, **_cofactors_json(cert), target=poly1_to_json(cert.target)
         ))
     else:
-        _print_cofactors(cert, args)
-        print(f"target: {_show(cert.target, args, _other(args.wrt))}")
+        target = f"target: {_show(cert.target, args, _other(args.wrt))}"
+        _emit_lines(_cofactor_lines(cert, args) + [target])
     return 0
 
 
@@ -199,9 +208,9 @@ def _cmd_kernel(args) -> int:
     if args.json:
         _emit_json(_document("kernel", kernel=None if cert is None else _cofactors_json(cert)))
     elif cert is None:
-        print("kernel: none (resultant is nonzero)")
+        _emit_lines(["kernel: none (resultant is nonzero)"])
     else:
-        _print_cofactors(cert, args)
+        _emit_lines(_cofactor_lines(cert, args))
     return 0
 
 
@@ -234,15 +243,17 @@ def _cmd_factor(args) -> int:
             }
         _emit_json(doc)
     else:
-        for var_name, pairs in (("q1", rep.q1_factors), ("q2", rep.q2_factors)):
-            for a, flag in pairs:
-                point = _show(a, args)
-                print(f"common left factor ({var_name} - ({point})): resultant_zero={'true' if flag else 'false'}")
-        print(f"factor_criterion_holds: {'true' if rep.holds else 'false'}")
+        lines = [
+            f"common left factor ({var_name} - ({_show(a, args)})): resultant_zero={'true' if flag else 'false'}"
+            for var_name, pairs in (("q1", rep.q1_factors), ("q2", rep.q2_factors))
+            for a, flag in pairs
+        ]
+        lines.append(f"factor_criterion_holds: {'true' if rep.holds else 'false'}")
         if zero_doc is not None:
-            print(f"common_zero_hypothesis: {'true' if zero_doc.hypothesis_met else 'false'}")
+            lines.append(f"common_zero_hypothesis: {'true' if zero_doc.hypothesis_met else 'false'}")
             if zero_doc.holds is not None:
-                print(f"common_zero_criterion: {'true' if zero_doc.holds else 'false'}")
+                lines.append(f"common_zero_criterion: {'true' if zero_doc.holds else 'false'}")
+        _emit_lines(lines)
     return 0
 
 

@@ -15,7 +15,8 @@ solves, rank and kernels on left fractions, and the constant matrices at
 rational points that _point_det interpolates: _reduced_norm for sdet,
 _signed_det for resultant.classical_resultant. Only the representative
 depends on the pivot choice, so only det weighs its candidates
-(_min_degree_pivot); every other caller takes the first one.
+(_min_degree_pivot); every other caller takes the first one. Real
+fractions (reduce_real_pair) are reduced by orefield's one reduction.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NonSquare,
     SingularSystem,
 )
-from .orefield import ONE_FRAC, OreFrac, ZERO_FRAC, _coerce_frac
+from .orefield import ONE_FRAC, OreFrac, ZERO_FRAC, _coerce_frac, _reduce
 from .polyone import (
     Poly1,
     RealPoly,
@@ -39,8 +40,6 @@ from .polyone import (
     _first_pivot,
     _right_kernel,
     left_divmod,
-    real_div_exact,
-    real_gcd,
     right_divmod,
 )
 from .quaternion import Quaternion, Rational
@@ -188,21 +187,11 @@ class DetClass:
 
 
 def reduce_real_pair(num: RealPoly, den: RealPoly) -> tuple[RealPoly, RealPoly]:
-    """Canonical form of a real fraction: coprime, monic denominator."""
+    """Canonical form of a real fraction: coprime, monic denominator; the
+    reduction of orefield's central form with a one-component numerator."""
     if den.is_zero:
         raise ZeroDivisionError("zero denominator in a real fraction")
-    if num.is_zero:
-        return RealPoly(), RealPoly([1])
-    g = real_gcd(num, den)
-    if g.degree > 0:
-        num = real_div_exact(num, g)
-        den = real_div_exact(den, g)
-    lc = den.lc
-    if lc != 1:
-        inv = Rational(1) / lc
-        num = RealPoly([c * inv for c in num.coeffs])
-        den = RealPoly([c * inv for c in den.coeffs])
-    return num, den
+    return _reduce(num, den)
 
 
 def _reduced_norm_pair(f: OreFrac) -> tuple[RealPoly, RealPoly]:

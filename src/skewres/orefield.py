@@ -176,12 +176,17 @@ class OreFrac:
         return self.den.symm(), self.num.symm()
 
 
-def _reduce(num: Poly1, den: RealPoly) -> tuple[Poly1, RealPoly]:
-    """num and den divided by gcd(den, the components of num), den monic."""
+def _reduce(num, den: RealPoly):
+    """num and den divided by gcd(den, the components of num), den monic.
+
+    num is a Poly1 (four component polynomials) or a RealPoly (one), and
+    keeps its class.
+    """
     if num.is_zero:
-        return ZERO_P, _ONE_R
+        return num, _ONE_R
     if den.degree > 0:
-        parts = [RealPoly([getattr(c, a) for c in num.coeffs]) for a in "wxyz"]
+        real = isinstance(num, RealPoly)
+        parts = [num] if real else [RealPoly([getattr(c, a) for c in num.coeffs]) for a in "wxyz"]
         g = den
         for part in parts:
             g = real_gcd(g, part)
@@ -190,12 +195,12 @@ def _reduce(num: Poly1, den: RealPoly) -> tuple[Poly1, RealPoly]:
         if g.degree > 0:
             den = real_div_exact(den, g)
             parts = [real_div_exact(part, g) for part in parts]
-            num = Poly1(
+            num = parts[0] if real else Poly1(
                 [Quaternion(*(part.coeff(n) for part in parts)) for n in range(num.degree + 1)]
             )
     if den.lc != 1:
-        num = _scale_central(num, 1 / den.lc)
-        den = den.monic()
+        w = 1 / den.lc
+        num, den = _scale_central(num, w), _scale_central(den, w)
     return num, den
 
 
@@ -231,10 +236,8 @@ def _coerce_frac(value) -> "OreFrac | None":
         return value
     if isinstance(value, Poly1):
         return OreFrac.from_poly(value)
-    if isinstance(value, Quaternion):
+    if isinstance(value, (Quaternion, int, type(_R0))):
         return OreFrac.from_quat(value)
-    if isinstance(value, (int, type(_R0))):
-        return OreFrac.from_quat(Quaternion(value))
     return None
 
 

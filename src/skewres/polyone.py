@@ -11,12 +11,15 @@ right-handed Euclidean routines right_divmod, gcrd and lcrm are conj mirrors
 of left_divmod, gcld and llcm on the conjugated inputs.
 
 Also hosts RealPoly, the commutative subring of real-coefficient polynomials,
-used wherever symmetrizations land, and the package's one elimination loop,
-_eliminate with _back_substitute, on rationals, quaternions and left
-fractions alike (the pivot inverse is 1 / entry). llcm and
-dieudonne.kernel_vector share _right_kernel on it; dieudonne runs it for
-det, cramer_solve and rank, and at points for sdet and
-resultant.classical_resultant.
+used wherever symmetrizations land. Poly1 and RealPoly are siblings on one
+base, _DensePoly, which owns their shared plumbing (degree, lc, ==, hash, +,
+-, star_pow). Each job runs once: one long division, _long_divmod, serves
+left_divmod and real_divmod; one power loop, _power, every star_pow (Poly2's
+too); and one elimination loop, _eliminate with _back_substitute, runs on
+rationals, quaternions and left fractions alike (the pivot inverse is
+1 / entry, as in the long division). llcm and dieudonne.kernel_vector share
+_right_kernel on it; dieudonne runs it for det, cramer_solve and rank, and
+at points for sdet and resultant.classical_resultant.
 """
 
 from __future__ import annotations
@@ -38,21 +41,32 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
-class Poly1:
-    """A quaternionic polynomial in one variable, stored dense and trimmed."""
+def _power(base, n: int, one):
+    """base^n by binary powering from one: the loop of every star_pow."""
+    if n < 0:
+        raise InvalidInput("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+class _DensePoly:
+    """What Poly1 and RealPoly share: a trimmed tuple of coefficients.
+
+    Each subclass sets its coefficient zero _zero and its operand coercion
+    _coerce, and keeps its own constructor, repr and product. Equality holds
+    within one class only, so a Poly1 never equals a RealPoly.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        self.coeffs = _trim([c if isinstance(c, Quaternion) else Quaternion(c) for c in coeffs])
-
-    @staticmethod
-    def const(c) -> "Poly1":
-        return Poly1((c,))
-
-    @staticmethod
-    def monomial(n: int, c=ONE) -> "Poly1":
-        return Poly1((ZERO,) * n + ((c if isinstance(c, Quaternion) else Quaternion(c)),))
+    @classmethod
+    def const(cls, c):
+        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -64,19 +78,16 @@ class Poly1:
         return not self.coeffs
 
     @property
-    def lc(self) -> Quaternion:
+    def lc(self):
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, n: int) -> Quaternion:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else ZERO
-
-    def __repr__(self) -> str:
-        return f"Poly1({list(self.coeffs)!r})"
+    def coeff(self, n: int):
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else self._zero
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly1):
+        if isinstance(other, type(self)):
             return self.coeffs == other.coeffs
         return NotImplemented
 
@@ -86,8 +97,8 @@ class Poly1:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other) -> "Poly1":
-        other = _coerce1(other)
+    def __add__(self, other):
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -96,24 +107,54 @@ class Poly1:
         out = list(a)
         for n, c in enumerate(b):
             out[n] = out[n] + c
-        return Poly1(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Poly1":
-        other = _coerce1(other)
+    def __sub__(self, other):
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Poly1":
-        other = _coerce1(other)
+    def __rsub__(self, other):
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
-    def __neg__(self) -> "Poly1":
-        return Poly1([-c for c in self.coeffs])
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def star_pow(self, n: int):
+        return _power(self, n, self.const(1))
+
+
+class Poly1(_DensePoly):
+    """A quaternionic polynomial in one variable, stored dense and trimmed."""
+
+    __slots__ = ()
+    _zero = ZERO
+
+    def __init__(self, coeffs=()):
+        self.coeffs = _trim([c if isinstance(c, Quaternion) else Quaternion(c) for c in coeffs])
+
+    @staticmethod
+    def _coerce(value) -> "Poly1 | None":
+        if isinstance(value, Poly1):
+            return value
+        if isinstance(value, (Quaternion, int, type(_R0))):
+            return Poly1((value,))
+        if isinstance(value, RealPoly):
+            return value.to_poly1()
+        return None
+
+    @staticmethod
+    def monomial(n: int, c=ONE) -> "Poly1":
+        return Poly1((ZERO,) * n + ((c if isinstance(c, Quaternion) else Quaternion(c)),))
+
+    def __repr__(self) -> str:
+        return f"Poly1({list(self.coeffs)!r})"
 
     def __mul__(self, other) -> "Poly1":
         """The star product: the Cauchy convolution of the coefficients.
@@ -122,7 +163,7 @@ class Poly1:
         denominators are cleared once and each output component is one
         rational, with the same values as the Quaternion product sums.
         """
-        other = _coerce1(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -144,18 +185,6 @@ class Poly1:
     def scale_right(self, c: Quaternion) -> "Poly1":
         """f * c: multiply every coefficient by c on the right."""
         return Poly1([a * c for a in self.coeffs])
-
-    def star_pow(self, n: int) -> "Poly1":
-        if n < 0:
-            raise InvalidInput("negative power of a polynomial")
-        result = Poly1((ONE,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conj(self) -> "Poly1":
         """Regular conjugate: conjugate each coefficient."""
@@ -184,33 +213,23 @@ class Poly1:
         return acc
 
 
-def _coerce1(value) -> "Poly1 | None":
-    if isinstance(value, Poly1):
-        return value
-    if isinstance(value, Quaternion):
-        return Poly1((value,))
-    if isinstance(value, (int, type(_R0))):
-        return Poly1((Quaternion(value),))
-    if isinstance(value, RealPoly):
-        return value.to_poly1()
-    return None
-
-
 ONE_P = Poly1((ONE,))
 ZERO_P = Poly1()
 VAR_Q = Poly1((ZERO, ONE))
 
 
-def left_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
-    """Quotient/remainder with the divisor on the LEFT: f = g*quot + rem."""
+def _long_divmod(f, g):
+    """f = g*quot + rem in the ring of f, divisor on the LEFT, by long
+    division on the coefficient lists; the pivot inverse is 1 / g.lc."""
     if g.is_zero:
         raise ZeroPolynomial("division by the zero polynomial")
     gd = g.degree
-    glc_inv = g.lc.inverse()
+    ring = type(f)
     rem = list(f.coeffs)
     if len(rem) - 1 < gd:
-        return ZERO_P, f
-    quot = [ZERO] * (len(rem) - gd)
+        return ring(), f
+    glc_inv = 1 / g.lc
+    quot = [f._zero] * (len(rem) - gd)
     for k in range(len(rem) - 1, gd - 1, -1):
         top = rem[k]
         if not top:
@@ -220,7 +239,12 @@ def left_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
         off = k - gd
         for t, gc in enumerate(g.coeffs):
             rem[t + off] = rem[t + off] - gc * c
-    return Poly1(quot), Poly1(rem[:gd])
+    return ring(quot), ring(rem[:gd])
+
+
+def left_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
+    """Quotient/remainder with the divisor on the LEFT: f = g*quot + rem."""
+    return _long_divmod(f, g)
 
 
 def right_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
@@ -234,10 +258,10 @@ def right_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
 
 
 def _scale_central(p: Poly1, w) -> Poly1:
-    """p times a central rational, applied componentwise."""
+    """p (a Poly1 or a RealPoly) times a central rational, coefficientwise."""
     if w == 1:
         return p
-    return Poly1([c * w for c in p.coeffs])
+    return type(p)([c * w for c in p.coeffs])
 
 
 def _parts(quats) -> list:
@@ -428,14 +452,10 @@ def llcm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
     # turns the left kernel into a right kernel of the conjugate transpose.
     eqns = []
     for t in range(md + 1):
-        eq = []
-        for s in range(du + 1):
-            bc = bs.coeff(t - s) if 0 <= t - s <= bs.degree else ZERO
-            eq.append(bc.conj())
-        for s in range(dv + 1):
-            cc = cs.coeff(t - s) if 0 <= t - s <= cs.degree else ZERO
-            eq.append(-cc.conj())
-        eqns.append(eq)
+        eqns.append(
+            [bs.coeff(t - s).conj() for s in range(du + 1)]
+            + [-cs.coeff(t - s).conj() for s in range(dv + 1)]
+        )
     kernel = _right_kernel(eqns, du + dv + 2, ZERO, ONE)
     if kernel is None:
         raise InternalRealityViolation("llcm kernel is empty")
@@ -505,10 +525,11 @@ def classify_root_on_sphere(f: Poly1, s: Sphere) -> RootClassification:
     return RootClassification("none")
 
 
-class RealPoly:
+class RealPoly(_DensePoly):
     """A polynomial with rational coefficients; the commutative core ring."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = _R0
 
     def __init__(self, coeffs=()):
         lst = [c if type(c) is type(_R0) else Rational(c) for c in coeffs]
@@ -518,71 +539,18 @@ class RealPoly:
         self.coeffs = tuple(lst[:n])
 
     @staticmethod
-    def const(c) -> "RealPoly":
-        return RealPoly((c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self):
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, n: int):
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else _R0
+    def _coerce(value) -> "RealPoly | None":
+        if isinstance(value, RealPoly):
+            return value
+        if isinstance(value, (int, type(_R0))):
+            return RealPoly((value,))
+        return None
 
     def __repr__(self) -> str:
         return f"RealPoly({[str(c) for c in self.coeffs]})"
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RealPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other) -> "RealPoly":
-        other = _coerce_real(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for n, c in enumerate(b):
-            out[n] = out[n] + c
-        return RealPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RealPoly":
-        other = _coerce_real(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RealPoly":
-        other = _coerce_real(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self) -> "RealPoly":
-        return RealPoly([-c for c in self.coeffs])
-
     def __mul__(self, other) -> "RealPoly":
-        other = _coerce_real(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -599,10 +567,7 @@ class RealPoly:
     __rmul__ = __mul__
 
     def monic(self) -> "RealPoly":
-        if self.is_zero:
-            return self
-        inv = _R1 / self.lc
-        return RealPoly([c * inv for c in self.coeffs])
+        return _scale_central(self, _R1 / self.lc) if self.coeffs else self
 
     def to_poly1(self) -> Poly1:
         return Poly1([Quaternion(c) for c in self.coeffs])
@@ -620,41 +585,18 @@ class RealPoly:
         return acc
 
 
-def _coerce_real(value) -> "RealPoly | None":
-    if isinstance(value, RealPoly):
-        return value
-    if isinstance(value, (int, type(_R0))):
-        return RealPoly((value,))
-    return None
-
-
 def real_divmod(f: RealPoly, g: RealPoly) -> tuple[RealPoly, RealPoly]:
-    if g.is_zero:
-        raise ZeroPolynomial("division by the zero polynomial")
-    gd = g.degree
-    glc = g.lc
-    rem = list(f.coeffs)
-    if len(rem) - 1 < gd:
-        return RealPoly(), f
-    quot = [_R0] * (len(rem) - gd)
-    for k in range(len(rem) - 1, gd - 1, -1):
-        top = rem[k]
-        if not top:
-            continue
-        c = top / glc
-        quot[k - gd] = c
-        off = k - gd
-        for t, gc in enumerate(g.coeffs):
-            rem[t + off] = rem[t + off] - gc * c
-    return RealPoly(quot), RealPoly(rem[:gd])
+    """Quotient/remainder over the rationals: f = g*quot + rem."""
+    return _long_divmod(f, g)
 
 
 def real_gcd(f: RealPoly, g: RealPoly) -> RealPoly:
     """Monic gcd over the rationals; gcd(0, 0) = 0."""
+    if f.degree < g.degree:
+        f, g = g, f  # the first remainder would be f itself
     while not g.is_zero:
         rem = real_divmod(f, g)[1]
-        if not rem.is_zero:
-            rem = _content_scale(rem.coeffs) * rem
+        rem = _scale_central(rem, _content_scale(rem.coeffs))
         f, g = g, rem
     return f.monic()
 

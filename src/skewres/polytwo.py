@@ -12,7 +12,7 @@ the other) are what the elimination theory consumes.
 from __future__ import annotations
 
 from .errors import InvalidInput, ZeroPolynomial
-from .polyone import Poly1
+from .polyone import Poly1, _power
 from .quaternion import ONE, ZERO, Quaternion, Rational, convolve
 
 _R0 = Rational(0)
@@ -198,16 +198,7 @@ class Poly2:
         return Poly2([[a * c for a in row] for row in self.coeffs])
 
     def star_pow(self, n: int) -> "Poly2":
-        if n < 0:
-            raise InvalidInput("negative power of a polynomial")
-        result = Poly2.const(ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly2.const(ONE))
 
     def conj(self) -> "Poly2":
         return Poly2([[c.conj() for c in row] for row in self.coeffs])
@@ -257,10 +248,8 @@ def _flat(grid, cols: int) -> list:
 def _coerce2(value) -> "Poly2 | None":
     if isinstance(value, Poly2):
         return value
-    if isinstance(value, Quaternion):
+    if isinstance(value, (Quaternion, int, type(_R0))):
         return Poly2.const(value)
-    if isinstance(value, (int, type(_R0))):
-        return Poly2.const(Quaternion(value))
     return None
 
 

@@ -234,7 +234,8 @@ def check_common_zero(p: Poly2, q: Poly2, a, b) -> CommonZeroReport:
     if not isinstance(b, Quaternion):
         b = Quaternion(b)
     if a * b != b * a:
-        raise NonCommutingPoint(f"{a!r} and {b!r} do not commute")
+        # the components are left out: one may be too long to print
+        raise NonCommutingPoint("the two components of the point do not commute")
     pv = p.eval2(a, b)
     qv = q.eval2(a, b)
     met = not pv and not qv

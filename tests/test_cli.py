@@ -84,6 +84,22 @@ def test_overlong_output_number_is_invalid_input(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and limit in err, mode
 
 
+def test_text_report_is_printed_whole_or_not_at_all(capsys):
+    # wrt, size and is_zero render; the sdet numerator passes the digit limit
+    nines = "9" * 3000
+    code, out, err = run(capsys, "res", "--wrt", "q1", f"q1 - {nines}", f"q1*q2 - {nines}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overlong_non_commuting_point_is_a_hypothesis_error(capsys):
+    # the message names no component: this one has 6,000 digits
+    point = "(" + "9" * 3000 + ")^2*i,j"
+    code, out, err = run(capsys, "factor", "--at", point, "q1", "q2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "commute" in err
+
+
 def test_cli_import_skips_dataclasses_and_introspection():
     src = Path(__file__).resolve().parents[1] / "src"
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -191,6 +191,24 @@ def test_binet_multiplicativity_of_sdet():
             assert (dab.sdet_num, dab.sdet_den) == want
 
 
+def test_reduce_real_pair_matches_the_central_form():
+    # a real fraction is also a left fraction of H[q]; its central form is
+    # the same reduced pair
+    rng = random.Random(29)
+    for _ in range(40):
+        num = RealPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))])
+        den = RealPoly([Rational(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+        if den.is_zero:
+            continue
+        if rng.random() < 0.5:
+            common = RealPoly([rng.randint(-3, 3), rng.randint(1, 2)])
+            num, den = num * common, den * common
+        frac = OreFrac(den.to_poly1(), num.to_poly1())
+        assert reduce_real_pair(num, den) == (frac.cnum.try_real(), frac.cden)
+    with pytest.raises(ZeroDivisionError):
+        reduce_real_pair(RealPoly([1]), RealPoly())
+
+
 def _sym_poly(p: RealPoly, t):
     return sum(sympy.Rational(str(c)) * t**n for n, c in enumerate(p.coeffs))
 
@@ -436,7 +454,7 @@ def test_cramer_check_fires_on_a_corrupted_solution(monkeypatch):
     rhs = [ONE_FRAC, ZERO_FRAC]
     assert mat_vec(m, cramer_solve(m, rhs)) == rhs
     _corrupt_first_pivot_unknown(monkeypatch)
-    with pytest.raises(InternalRealityViolation):
+    with pytest.raises(InternalRealityViolation, match="inexact solution"):
         cramer_solve(m, rhs)
 
 
@@ -447,7 +465,7 @@ def test_kernel_check_fires_on_a_corrupted_vector(monkeypatch):
     assert kernel_vector(m) is not None
     # the kernel helper kernel_vector shares with llcm back-substitutes in polyone
     _corrupt_first_pivot_unknown(monkeypatch, polyone)
-    with pytest.raises(InternalRealityViolation):
+    with pytest.raises(InternalRealityViolation, match="kernel construction failed"):
         kernel_vector(m)
 
 
@@ -467,8 +485,18 @@ def test_representative_cross_check_fires_on_a_corrupted_pivot(monkeypatch):
 
     monkeypatch.setattr(dieudonne, "_eliminate", corrupted)
     dc = det(m)
-    with pytest.raises(InternalRealityViolation):
+    with pytest.raises(InternalRealityViolation, match="disagrees with the point values"):
         dc.rep
+
+
+def test_extracted_representative_check_fires_on_a_wrong_quotient(monkeypatch):
+    p, d = q_minus(K), q_minus(I)
+    dc = det_class_of(OreFrac(d, p * d))
+    assert poly_representative(dc) == p
+    # a right division that claims exactness with the wrong quotient
+    monkeypatch.setattr(dieudonne, "right_divmod", lambda f, g: (p + ONE_P, ZERO_P))
+    with pytest.raises(InternalRealityViolation, match="extracted representative"):
+        poly_representative(dc)
 
 
 def _corrupt_point_values(monkeypatch, change):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from skewres import orefield, polyone
-from skewres.errors import DivisionByZero, ZeroPolynomial
+from skewres.errors import DivisionByZero, InternalRealityViolation, ZeroPolynomial
 from skewres.orefield import ONE_FRAC, OreFrac, ZERO_FRAC
 from skewres.polyone import ONE_P, Poly1, RealPoly, ZERO_P, gcld, llcm, real_gcd
 from skewres.quaternion import I, J, K, ONE, Quaternion, Rational
@@ -103,6 +103,16 @@ def _refuse_lcm_and_gcld(monkeypatch):
     monkeypatch.setattr(polyone, "llcm", refused)
     monkeypatch.setattr(polyone, "gcld", refused)
     monkeypatch.setattr(orefield, "gcld", refused)
+
+
+def test_left_view_check_fires_on_a_wrong_common_divisor(monkeypatch):
+    # (q - i)^{-1} is stored as (q^2 + 1)^{-1} (q + i); the left view
+    # cancels gcld(q^2 + 1, q + i) = q + i
+    assert OreFrac(q_minus(I), ONE_P).den == q_minus(I)
+    # q + 1 is no left divisor of q^2 + 1
+    monkeypatch.setattr(orefield, "gcld", lambda f, g: Poly1([ONE, ONE]))
+    with pytest.raises(InternalRealityViolation, match="inexact cancellation"):
+        OreFrac(q_minus(I), ONE_P).den
 
 
 def test_eq_needs_no_common_multiple(monkeypatch):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from skewres import polyone
-from skewres.errors import InternalRealityViolation, RealArgument, ZeroPolynomial
+from skewres.errors import InternalRealityViolation, InvalidInput, RealArgument, ZeroPolynomial
 from skewres.polyone import (
     ONE_P,
     Poly1,
@@ -239,8 +239,23 @@ def test_llcm_cross_check_fires_on_a_corrupted_kernel(monkeypatch):
         xs[col] = xs[col] * 2
 
     monkeypatch.setattr(polyone, "_back_substitute", corrupted)
-    with pytest.raises(InternalRealityViolation):
+    with pytest.raises(InternalRealityViolation, match="cross check"):
         llcm(Poly1([-I, ONE]), Poly1([-J, ONE]))
+
+
+def test_llcm_empty_kernel_check_fires(monkeypatch):
+    monkeypatch.setattr(polyone, "_right_kernel", lambda rows, ncols, zero, one: None)
+    with pytest.raises(InternalRealityViolation, match="llcm kernel is empty"):
+        llcm(Poly1([-I, ONE]), Poly1([-J, ONE]))
+
+
+def test_symm_reality_check_fires_on_a_wrong_conjugate(monkeypatch):
+    f = Poly1([-I, ONE])
+    assert f.symm() == RealPoly([1, 0, 1])
+    # (q - i)^2 has the non-real coefficient -2i
+    monkeypatch.setattr(Poly1, "conj", lambda self: self)
+    with pytest.raises(InternalRealityViolation, match="non-real coefficient"):
+        f.symm()
 
 
 def test_llcm_properties():
@@ -451,6 +466,8 @@ def test_realpoly_divmod_and_gcd():
         quot, rem = real_divmod(f, g)
         assert g * quot + rem == f
         assert rem.degree < g.degree
+        # the same division over H[q], which contains Q[q]
+        assert left_divmod(f.to_poly1(), g.to_poly1()) == (quot.to_poly1(), rem.to_poly1())
         d = real_gcd(f, g)
         if not d.is_zero:
             assert real_divmod(f, d)[1].is_zero
@@ -464,7 +481,7 @@ def test_realpoly_gcd_planted():
     assert real_divmod(real_gcd(f, g), d)[1].is_zero
     assert real_div_exact(f, d) == RealPoly([2, 1])
     # every caller divides exactly by construction: a remainder is a fault
-    with pytest.raises(InternalRealityViolation, match="inexact"):
+    with pytest.raises(InternalRealityViolation, match="inexact division"):
         real_div_exact(RealPoly([1, 1]), RealPoly([1, 0, 1]))
 
 
@@ -477,3 +494,16 @@ def test_poly1_scalar_interop():
     assert f.scale_right(J) == Poly1([I * J, J])
     assert f.star_pow(2) == f * f
     assert f.star_pow(0) == ONE_P
+    with pytest.raises(InvalidInput):
+        f.star_pow(-1)
+
+
+def test_poly1_and_realpoly_are_sibling_rings():
+    # equal coefficient values, but a Quaternion never meets a Fraction
+    p, r = Poly1([1]), RealPoly([1])
+    assert p != r and r != p
+    assert not p == r and not r == p
+    assert not isinstance(p, RealPoly) and not isinstance(r, Poly1)
+    assert type(Poly1.const(2)) is Poly1 and Poly1.const(2) == Poly1([2])
+    assert type(RealPoly.const(2)) is RealPoly and RealPoly.const(2) == RealPoly([2])
+    assert p + r == Poly1([2]) and r + p == Poly1([2])

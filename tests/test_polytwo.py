@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from skewres.errors import ZeroPolynomial
+from skewres.errors import InvalidInput, ZeroPolynomial
 from skewres.polyone import Poly1
 from skewres.polytwo import (
     Poly2,
@@ -249,6 +249,10 @@ def test_embeddings_and_scalars():
     assert p.scale_left(J).coeff(0, 0) == J * (-I)
     assert p.scale_right(J).coeff(0, 0) == -I * J
     assert p.star_pow(2) == p * p
+    assert p.star_pow(0) == Poly2.const(ONE)
+    with pytest.raises(InvalidInput):
+        p.star_pow(-1)
+    assert type(Poly2.const(2)) is Poly2 and Poly2.const(2) == Poly2([[2]])
     assert (p - p).is_zero
 
 

@@ -438,7 +438,14 @@ def _corrupt_cleared_polys(monkeypatch):
 def test_bezout_identity_check_fires_on_corrupted_cofactors(monkeypatch):
     bezout_certificate(P_GOLD, Q_GOLD, "q2")
     _corrupt_cleared_polys(monkeypatch)
-    with pytest.raises(InternalRealityViolation, match="combination"):
+    with pytest.raises(InternalRealityViolation, match="combination mismatch"):
+        bezout_certificate(P_GOLD, Q_GOLD, "q2")
+
+
+def test_bezout_target_check_fires_on_a_zero_multiplier(monkeypatch):
+    real = res_mod._clear_right
+    monkeypatch.setattr(res_mod, "_clear_right", lambda vec: (real(vec)[0], RealPoly()))
+    with pytest.raises(InternalRealityViolation, match="target collapsed"):
         bezout_certificate(P_GOLD, Q_GOLD, "q2")
 
 
@@ -466,7 +473,18 @@ def test_bezout_targets_are_real():
 def test_kernel_identity_check_fires_on_corrupted_cofactors(monkeypatch):
     assert kernel_cofactors(P_GOLD, Q_GOLD, "q1") is not None
     _corrupt_cleared_polys(monkeypatch)
-    with pytest.raises(InternalRealityViolation, match="combination"):
+    with pytest.raises(InternalRealityViolation, match="combination identity"):
+        kernel_cofactors(P_GOLD, Q_GOLD, "q1")
+
+
+def test_kernel_checks_fire_on_a_lost_kernel_and_zero_cofactors(monkeypatch):
+    # the resultant vanishes, so a Sylvester kernel vector must exist
+    monkeypatch.setattr(res_mod, "kernel_vector", lambda mat: None)
+    with pytest.raises(InternalRealityViolation, match="trivial Sylvester kernel"):
+        kernel_cofactors(P_GOLD, Q_GOLD, "q1")
+    monkeypatch.undo()
+    monkeypatch.setattr(res_mod, "_clear_right", lambda vec: ([ZERO_P] * len(vec), RealPoly([1])))
+    with pytest.raises(InternalRealityViolation, match="kernel cofactors collapsed"):
         kernel_cofactors(P_GOLD, Q_GOLD, "q1")
 
 
