@@ -3,9 +3,10 @@
 Exit codes follow the error kinds of skewres.errors: 0 success, 1 any
 InvalidInput (parse, schema, validation and argument failures), 2 any
 HypothesisViolation (a non-commuting evaluation point, or a Bezout request
-on a vanishing resultant). Each prints one "error:" line on stderr; an
-internal fault (InternalRealityViolation, or any exception not raised on
-purpose) propagates as a traceback. Every polynomial is shown by one
+on a vanishing resultant), 3 an internal fault (InternalRealityViolation, a
+failed self-check). Each prints one "error:" line on stderr; --debug lets an
+internal fault raise its traceback instead, and any exception not raised on
+purpose always does. Every polynomial is shown by one
 helper, as text or with --latex as LaTeX, and every text report is printed
 whole by one more, so an error leaves stdout empty. All numbers printed are
 exact rationals.
@@ -18,7 +19,7 @@ import json
 import sys
 
 from .dieudonne import det
-from .errors import HypothesisViolation, InvalidInput
+from .errors import HypothesisViolation, InternalRealityViolation, InvalidInput
 from .exprio import (
     _document,
     _frac_json,
@@ -319,6 +320,7 @@ _COMMANDS = (
 
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="skewres", description="resultants of skew polynomials in q1, q2")
+    top.add_argument("--debug", action="store_true", help="raise internal faults as tracebacks")
     subs = top.add_subparsers(dest="command", required=True)
     for name, help_text, fn, arguments in _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
@@ -341,6 +343,11 @@ def main(argv=None) -> int:
     except (InvalidInput, HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, HypothesisViolation) else 1
+    except InternalRealityViolation as exc:
+        if args.debug:
+            raise
+        print(f"error: internal fault: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

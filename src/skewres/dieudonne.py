@@ -138,12 +138,7 @@ def _min_degree_pivot(column) -> int:
     class does not depend on the rule, but the representative does, and this
     rule fixes it; weighing reads every candidate's canonical left form.
     """
-    best_row, best_weight = None, None
-    for row, frac in column:
-        w = frac.num.degree + frac.den.degree
-        if best_weight is None or w < best_weight:
-            best_row, best_weight = row, w
-    return best_row
+    return min(column, key=lambda item: item[1].num.degree + item[1].den.degree)[0]
 
 
 class DetClass:
@@ -361,19 +356,14 @@ def poly_representative(dc: DetClass) -> "Poly1 | None":
         return ZERO_P
     if rep.den.degree == 0:
         return rep.num
-    cand = None
     quot, rem = right_divmod(rep.num, rep.den)
-    if rem.is_zero:
-        cand = quot
-    else:
+    if not rem.is_zero:
         quot, rem = left_divmod(rep.num, rep.den)
-        if rem.is_zero:
-            cand = quot
-    if cand is None:
-        return None
-    if cand.symm() * rep.den.symm() != rep.num.symm():
+        if not rem.is_zero:
+            return None
+    if quot.symm() * rep.den.symm() != rep.num.symm():
         raise InternalRealityViolation("extracted representative fails the sdet check")
-    return cand
+    return quot
 
 
 def mat_vec(matrix: SkewMatrix, vec: list) -> list[OreFrac]:

@@ -12,8 +12,8 @@ exactly one of three kinds:
 - InternalRealityViolation: a self-check failed, so the package itself is at
   fault.
 
-The CLI maps the first two to exit codes 1 and 2 and lets the third
-propagate as a traceback.
+The CLI maps them to exit codes 1, 2 and 3; with --debug the third
+propagates as a traceback.
 """
 
 

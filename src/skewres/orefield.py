@@ -14,7 +14,8 @@ conj(n)*d / symm(n); none of them needs a common left multiple or a gcld.
 The canonical left form den^{-1} * num (den monic, gcld(den, num) = 1), which
 the public attributes den and num, repr and the matrix JSON show, is a view
 built on first read with one gcld and kept. Solves and certificates read only
-the central form.
+the central form. The reduction (real_gcd, real_div_exact) and the view (gcld,
+left_divmod) run on polyone's integer pseudo-division under the Fraction API.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .polyone import (
     Poly1,
     RealPoly,
     ZERO_P,
-    _scale_central,
+    _scaled,
     gcld,
     left_divmod,
     real_div_exact,
@@ -200,7 +201,7 @@ def _reduce(num, den: RealPoly):
             )
     if den.lc != 1:
         w = 1 / den.lc
-        num, den = _scale_central(num, w), _scale_central(den, w)
+        num, den = _scaled(type(num), num.coeffs, w), _scaled(RealPoly, den.coeffs, w)
     return num, den
 
 

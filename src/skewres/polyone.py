@@ -13,11 +13,14 @@ of left_divmod, gcld and llcm on the conjugated inputs.
 Also hosts RealPoly, the commutative subring of real-coefficient polynomials,
 used wherever symmetrizations land. Poly1 and RealPoly are siblings on one
 base, _DensePoly, which owns their shared plumbing (degree, lc, ==, hash, +,
--, star_pow). Each job runs once: one long division, _long_divmod, serves
-left_divmod and real_divmod; one power loop, _power, every star_pow (Poly2's
-too); and one elimination loop, _eliminate with _back_substitute, runs on
-rationals, quaternions and left fractions alike (the pivot inverse is
-1 / entry, as in the long division). llcm and dieudonne.kernel_vector share
+-, star_pow). Each job runs once. One integer pseudo-division,
+_pseudo_divmod, runs under the Fraction API on operands cleared once to
+coprime integer components and scaled back once: through _divmod it serves
+left_divmod, real_divmod and real_div_exact, as the primitive remainder
+chain real_gcd and gcld (so gcrd and llcm). One power loop, _power, serves
+every star_pow (Poly2's too), and one elimination loop, _eliminate with
+_back_substitute, runs on rationals, quaternions and left fractions alike
+(the pivot inverse is 1 / entry). llcm and dieudonne.kernel_vector share
 _right_kernel on it; dieudonne runs it for det, cramer_solve and rank, and
 at points for sdet and resultant.classical_resultant.
 """
@@ -28,7 +31,7 @@ import math
 
 from ._record import Record
 from .errors import InternalRealityViolation, InvalidInput, RealArgument, ZeroPolynomial
-from .quaternion import ONE, ZERO, Quaternion, Rational, Sphere, convolve, sphere_of
+from .quaternion import ONE, ZERO, Quaternion, Rational, Sphere, _mk, convolve, sphere_of
 
 _R0 = Rational(0)
 _R1 = Rational(1)
@@ -129,6 +132,13 @@ class _DensePoly:
     def star_pow(self, n: int):
         return _power(self, n, self.const(1))
 
+    @staticmethod
+    def _split(coeffs):
+        """The coefficients' components in order (a rational is its own)."""
+        return coeffs
+
+    _join = _split
+
 
 class Poly1(_DensePoly):
     """A quaternionic polynomial in one variable, stored dense and trimmed."""
@@ -152,6 +162,23 @@ class Poly1(_DensePoly):
     @staticmethod
     def monomial(n: int, c=ONE) -> "Poly1":
         return Poly1((ZERO,) * n + ((c if isinstance(c, Quaternion) else Quaternion(c)),))
+
+    @staticmethod
+    def _split(coeffs) -> list:
+        return [v for c in coeffs for v in (c.w, c.x, c.y, c.z)]
+
+    @staticmethod
+    def _join(flat) -> list:
+        return [_mk(*flat[i : i + 4]) for i in range(0, len(flat), 4)]
+
+    @staticmethod
+    def _int_step(a: Quaternion, top: Quaternion) -> tuple:
+        # a * conj(a) = |a|^2 is central: c = conj(a)*top and m = |a|^2,
+        # both over the gcd of m and the components of c
+        c = a.conj() * top
+        m = a.norm_sq()
+        g = math.gcd(m, c.w, c.x, c.y, c.z)
+        return (m, c) if g == 1 else (m // g, _mk(c.w // g, c.x // g, c.y // g, c.z // g))
 
     def __repr__(self) -> str:
         return f"Poly1({list(self.coeffs)!r})"
@@ -218,33 +245,84 @@ ZERO_P = Poly1()
 VAR_Q = Poly1((ZERO, ONE))
 
 
-def _long_divmod(f, g):
-    """f = g*quot + rem in the ring of f, divisor on the LEFT, by long
-    division on the coefficient lists; the pivot inverse is 1 / g.lc."""
+def _to_ints(ring, coeffs) -> tuple:
+    """Rational or integer coefficients as (c, P): c * P, c > 0 rational, P on
+    coprime integer components; ints for a RealPoly, Quaternions with int
+    components for a Poly1 (the Hamilton product is the same on any numbers).
+    """
+    flat = ring._split(coeffs)
+    den = math.lcm(*[v.denominator for v in flat])
+    flat = [v.numerator * (den // v.denominator) for v in flat]
+    g = math.gcd(*flat)
+    return Rational(g, den), ring._join([v // g for v in flat])
+
+
+def _scaled(ring, coeffs, w):
+    """The ring's polynomial with coefficients coeffs * w, for integer or
+    rational coefficients (see _to_ints) and a rational w."""
+    n, d = w.numerator, w.denominator
+    return ring(ring._join([Rational(n * v, d) for v in ring._split(coeffs)]))
+
+
+def _pseudo_divmod(F, G, step, exact=False) -> tuple[list, list, int]:
+    """s*F = G*Q + R with deg R < deg G, divisor on the LEFT, on integer
+    coefficients (G nonzero): returns (Q, R, s).
+
+    step(a, top) gives the least int m > 0, with c, such that a*c == m*top;
+    the remainder is scaled by m, q^off * G*c subtracted, and s is the
+    product of the m. With exact, m > 1 is a fault: a primitive G dividing F
+    over the rationals divides it over the integers (Gauss's lemma).
+    """
+    gd = len(G) - 1
+    a = G[-1]
+    rem = list(F)
+    steps = []  # (c, s after its step), top degree first
+    s = 1
+    for off in range(len(rem) - 1 - gd, -1, -1):
+        c = rem.pop()
+        if c:
+            m, c = step(a, c)
+            if m != 1:
+                if exact:
+                    raise InternalRealityViolation("exact division met a lead it does not divide")
+                s *= m
+                rem = [r * m for r in rem]
+            for t in range(gd):
+                if G[t]:
+                    rem[off + t] = rem[off + t] - G[t] * c
+        steps.append((c, s))
+    # a quotient term found at scale sc stands for c / sc
+    return [c * (s // sc) for c, sc in reversed(steps)], rem, s
+
+
+def _divmod(f, g, exact=False):
+    """f = g*quot + rem in the ring of f, divisor on the LEFT, deg rem < deg g:
+    the pseudo-division of the integer parts, scaled back once."""
     if g.is_zero:
         raise ZeroPolynomial("division by the zero polynomial")
-    gd = g.degree
     ring = type(f)
-    rem = list(f.coeffs)
-    if len(rem) - 1 < gd:
-        return ring(), f
-    glc_inv = 1 / g.lc
-    quot = [f._zero] * (len(rem) - gd)
-    for k in range(len(rem) - 1, gd - 1, -1):
-        top = rem[k]
-        if not top:
-            continue
-        c = glc_inv * top  # g.lc * c == top
-        quot[k - gd] = c
-        off = k - gd
-        for t, gc in enumerate(g.coeffs):
-            rem[t + off] = rem[t + off] - gc * c
-    return ring(quot), ring(rem[:gd])
+    (cf, F), (cg, G) = _to_ints(ring, f.coeffs), _to_ints(ring, g.coeffs)
+    Q, R, s = _pseudo_divmod(F, G, ring._int_step, exact)
+    return _scaled(ring, Q, cf / (cg * s)), _scaled(ring, R, cf / s)
+
+
+def _remainder_chain(f, g) -> list:
+    """The last term of the primitive remainder sequence (Collins 1967) of
+    the integer parts of f and g, divisor on the LEFT; [] for two zeros.
+    s*F = G*Q + R with s central, so (F, G), (G, R) and (G, R / content)
+    share their left divisors; a constant term ends the chain."""
+    ring = type(f)
+    F, G = _to_ints(ring, f.coeffs)[1], _to_ints(ring, g.coeffs)[1]
+    if len(F) < len(G):
+        F, G = G, F  # the first remainder would be F itself
+    while len(G) > 1:
+        F, G = G, _to_ints(ring, _trim(_pseudo_divmod(F, G, ring._int_step)[1]))[1]
+    return G or F
 
 
 def left_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
     """Quotient/remainder with the divisor on the LEFT: f = g*quot + rem."""
-    return _long_divmod(f, g)
+    return _divmod(f, g)
 
 
 def right_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
@@ -255,69 +333,6 @@ def right_divmod(f: Poly1, g: Poly1) -> tuple[Poly1, Poly1]:
     """
     quot, rem = left_divmod(f.conj(), g.conj())
     return quot.conj(), rem.conj()
-
-
-def _scale_central(p: Poly1, w) -> Poly1:
-    """p (a Poly1 or a RealPoly) times a central rational, coefficientwise."""
-    if w == 1:
-        return p
-    return type(p)([c * w for c in p.coeffs])
-
-
-def _parts(quats) -> list:
-    """The rational components of a sequence of quaternions, in order."""
-    return [v for c in quats for v in (c.w, c.x, c.y, c.z)]
-
-
-def _content_scale(values) -> "Rational":
-    """The positive rational that rescales the values to coprime integers."""
-    num_gcd = 0
-    den_lcm = 1
-    for v in values:
-        if v:
-            num_gcd = math.gcd(num_gcd, v.numerator)
-            d = v.denominator
-            den_lcm = den_lcm // math.gcd(den_lcm, d) * d
-    if num_gcd == 0:
-        return _R1
-    return Rational(den_lcm, num_gcd)
-
-
-def _primitive(p: Poly1) -> Poly1:
-    """p rescaled by a central rational to coprime integer components."""
-    return _scale_central(p, _content_scale(_parts(p.coeffs)))
-
-
-def _pseudo_left_rem(f: Poly1, g: Poly1) -> Poly1:
-    """Remainder of scale*f = g*quot + rem, divisor on the LEFT.
-
-    scale is a power of norm_sq(g.lc), a central real, so integral inputs
-    stay integral: each elimination uses conj(g.lc) * top instead of a true
-    inverse. Euclidean chains strip the content afterwards, which keeps the
-    classical primitive-sequence growth bound.
-    """
-    gd = g.degree
-    if f.degree < gd:
-        return f
-    glc = g.lc
-    nsq = glc.norm_sq()
-    gconj = glc.conj()
-    rem = list(f.coeffs)
-    for k in range(len(rem) - 1, gd - 1, -1):
-        top = rem[k]
-        if not top:
-            continue
-        for t in range(k):
-            if rem[t]:
-                rem[t] = rem[t] * nsq
-        c = gconj * top  # g.lc * c == nsq * top
-        off = k - gd
-        for t in range(gd):
-            gc = g.coeffs[t]
-            if gc:
-                rem[t + off] = rem[t + off] - gc * c
-        rem[k] = ZERO
-    return Poly1(rem[:gd])
 
 
 def monic_right(f: Poly1) -> Poly1:
@@ -339,18 +354,13 @@ def gcrd(f: Poly1, g: Poly1) -> Poly1:
 
 
 def gcld(f: Poly1, g: Poly1) -> Poly1:
-    """Greatest common left divisor, monic (by right scaling).
-
-    Uses the left-division chain: remainders of scale*f = g*quot + rem share
-    the left divisors of (f, g); remainders are kept primitive so the chain
-    stays over integer components.
-    """
+    """Greatest common left divisor, monic (by right scaling): the last term
+    F of the integer remainder chain times conj(a) / |a|^2, a = lc(F)."""
     if f.is_zero and g.is_zero:
         raise ZeroPolynomial("gcld(0, 0) is undefined")
-    f, g = _primitive(f), _primitive(g)
-    while not g.is_zero:
-        f, g = g, _primitive(_pseudo_left_rem(f, g))
-    return monic_right(f)
+    F = _remainder_chain(f, g)
+    a = F[-1]
+    return _scaled(Poly1, [c * a.conj() for c in F], Rational(1, a.norm_sq()))
 
 
 def _eliminate(work: list, ncols: int, rule) -> list[tuple[int, int]]:
@@ -442,8 +452,9 @@ def llcm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
     """
     if b.is_zero or c.is_zero:
         raise ZeroPolynomial("llcm needs nonzero inputs")
-    wb, wc = _content_scale(_parts(b.coeffs)), _content_scale(_parts(c.coeffs))
-    bs, cs = _scale_central(b, wb), _scale_central(c, wc)
+    (cb, ib), (cc, ic) = _to_ints(Poly1, b.coeffs), _to_ints(Poly1, c.coeffs)
+    bs, cs = _scaled(Poly1, ib, _R1), _scaled(Poly1, ic, _R1)
+    wb, wc = 1 / cb, 1 / cc
     g = gcrd(bs, cs)
     du = cs.degree - g.degree
     dv = bs.degree - g.degree
@@ -467,11 +478,7 @@ def llcm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
     # the input strips fold into the cofactors: u*bs = (wb u)*b, and the
     # central wb commutes with the final monic scale
     w = m.lc.inverse()
-    return (
-        m.scale_left(w),
-        _scale_central(u, wb).scale_left(w),
-        _scale_central(v, wc).scale_left(w),
-    )
+    return m.scale_left(w), u.scale_left(w * wb), v.scale_left(w * wc)
 
 
 def lcrm(b: Poly1, c: Poly1) -> tuple[Poly1, Poly1, Poly1]:
@@ -532,11 +539,7 @@ class RealPoly(_DensePoly):
     _zero = _R0
 
     def __init__(self, coeffs=()):
-        lst = [c if type(c) is type(_R0) else Rational(c) for c in coeffs]
-        n = len(lst)
-        while n and not lst[n - 1]:
-            n -= 1
-        self.coeffs = tuple(lst[:n])
+        self.coeffs = _trim([c if type(c) is type(_R0) else Rational(c) for c in coeffs])
 
     @staticmethod
     def _coerce(value) -> "RealPoly | None":
@@ -545,6 +548,11 @@ class RealPoly(_DensePoly):
         if isinstance(value, (int, type(_R0))):
             return RealPoly((value,))
         return None
+
+    @staticmethod
+    def _int_step(a: int, top: int) -> tuple:
+        g = math.gcd(a, top)
+        return abs(a) // g, (top if a > 0 else -top) // g
 
     def __repr__(self) -> str:
         return f"RealPoly({[str(c) for c in self.coeffs]})"
@@ -566,19 +574,13 @@ class RealPoly(_DensePoly):
 
     __rmul__ = __mul__
 
-    def monic(self) -> "RealPoly":
-        return _scale_central(self, _R1 / self.lc) if self.coeffs else self
-
     def to_poly1(self) -> Poly1:
         return Poly1([Quaternion(c) for c in self.coeffs])
 
     def eval(self, p):
         """Evaluate at a rational or a quaternion (real coefficients are central)."""
         if isinstance(p, Quaternion):
-            acc = ZERO
-            for c in reversed(self.coeffs):
-                acc = p * acc + Quaternion(c)
-            return acc
+            return self.to_poly1().eval(p)
         acc = _R0
         for c in reversed(self.coeffs):
             acc = p * acc + c
@@ -587,22 +589,20 @@ class RealPoly(_DensePoly):
 
 def real_divmod(f: RealPoly, g: RealPoly) -> tuple[RealPoly, RealPoly]:
     """Quotient/remainder over the rationals: f = g*quot + rem."""
-    return _long_divmod(f, g)
+    return _divmod(f, g)
 
 
 def real_gcd(f: RealPoly, g: RealPoly) -> RealPoly:
-    """Monic gcd over the rationals; gcd(0, 0) = 0."""
-    if f.degree < g.degree:
-        f, g = g, f  # the first remainder would be f itself
-    while not g.is_zero:
-        rem = real_divmod(f, g)[1]
-        rem = _scale_central(rem, _content_scale(rem.coeffs))
-        f, g = g, rem
-    return f.monic()
+    """Monic gcd over the rationals, by the integer remainder chain;
+    gcd(0, 0) = 0."""
+    F = _remainder_chain(f, g)
+    return _scaled(RealPoly, F, Rational(1, F[-1])) if F else RealPoly()
 
 
 def real_div_exact(f: RealPoly, g: RealPoly) -> RealPoly:
-    quot, rem = real_divmod(f, g)
+    """f / g for a g that divides f, on the primitive integer parts; a step
+    the leading coefficient does not divide or a remainder is a fault."""
+    quot, rem = _divmod(f, g, exact=True)
     if not rem.is_zero:
-        raise InternalRealityViolation("inexact division where exact was required")
+        raise InternalRealityViolation("exact real division left a nonzero remainder")
     return quot

@@ -266,7 +266,7 @@ def test_every_error_has_exactly_one_kind():
         (IndexOutOfRange("row 3 outside the matrix"), 1),
         (DivisionByZero("inverse of zero"), 1),
         (SingularSystem("singular"), 2),
-        (InternalRealityViolation("self-check failed"), None),
+        (InternalRealityViolation("self-check failed"), 3),
         (ValueError("not raised on purpose"), None),
     ],
     ids=("index", "division", "singular", "internal", "stray"),
@@ -278,9 +278,20 @@ def test_exit_code_by_error_kind(capsys, monkeypatch, exc, code):
     monkeypatch.setattr(cli, "resultant", fail)
     argv = ("res", "--wrt", "q1", GOLD_P, GOLD_Q)
     if code is None:
-        # internal faults and stray exceptions surface as tracebacks
+        # stray exceptions surface as tracebacks
         with pytest.raises(type(exc)):
             main(list(argv))
         return
     got, out, err = run(capsys, *argv)
-    assert (got, out, err) == (code, "", f"error: {exc}\n")
+    fault = "internal fault: " if code == 3 else ""
+    assert (got, out, err) == (code, "", f"error: {fault}{exc}\n")
+
+
+def test_debug_lets_an_internal_fault_raise(capsys, monkeypatch):
+    def fail(*args):
+        raise InternalRealityViolation("self-check failed")
+
+    monkeypatch.setattr(cli, "resultant", fail)
+    with pytest.raises(InternalRealityViolation, match="self-check failed"):
+        main(["--debug", "res", "--wrt", "q1", GOLD_P, GOLD_Q])
+    assert capsys.readouterr().err == ""

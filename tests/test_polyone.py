@@ -480,9 +480,14 @@ def test_realpoly_gcd_planted():
     g = RealPoly([-3, 0, 1]) * d
     assert real_divmod(real_gcd(f, g), d)[1].is_zero
     assert real_div_exact(f, d) == RealPoly([2, 1])
-    # every caller divides exactly by construction: a remainder is a fault
-    with pytest.raises(InternalRealityViolation, match="inexact division"):
+    # every caller divides exactly by construction: a remainder is a fault,
+    # and so is a step whose top the divisor's leading coefficient misses
+    with pytest.raises(InternalRealityViolation, match="left a nonzero remainder"):
         real_div_exact(RealPoly([1, 1]), RealPoly([1, 0, 1]))
+    with pytest.raises(InternalRealityViolation, match="does not divide"):
+        real_div_exact(RealPoly([0, 0, 1]), RealPoly([1, 2]))
+    with pytest.raises(InternalRealityViolation, match="left a nonzero remainder"):
+        real_div_exact(RealPoly([1, 0, 1]), RealPoly([0, 1]))
 
 
 def test_poly1_scalar_interop():
@@ -507,3 +512,132 @@ def test_poly1_and_realpoly_are_sibling_rings():
     assert type(Poly1.const(2)) is Poly1 and Poly1.const(2) == Poly1([2])
     assert type(RealPoly.const(2)) is RealPoly and RealPoly.const(2) == RealPoly([2])
     assert p + r == Poly1([2]) and r + p == Poly1([2])
+
+
+# Two routes for the integer kernel: the Euclidean functions run one integer
+# pseudo-division; the loops below are the plain Fraction long division and
+# Euclid it replaced, kept here as the second route.
+
+
+def _fraction_divmod(f, g):
+    """f = g*quot + rem by Fraction long division, divisor on the LEFT."""
+    ring, gd = type(f), g.degree
+    rem = list(f.coeffs)
+    if len(rem) - 1 < gd:
+        return ring(), f
+    glc_inv = 1 / g.lc
+    quot = [ring._zero] * (len(rem) - gd)
+    for k in range(len(rem) - 1, gd - 1, -1):
+        c = glc_inv * rem[k]
+        quot[k - gd] = c
+        for t, gc in enumerate(g.coeffs):
+            rem[t + k - gd] = rem[t + k - gd] - gc * c
+    return ring(quot), ring(rem[:gd])
+
+
+def _fraction_gcd(f, g):
+    """The last nonzero remainder of the Fraction Euclidean chain."""
+    while not g.is_zero:
+        f, g = g, _fraction_divmod(f, g)[1]
+    return f
+
+
+def _rand_rational(rng, big):
+    if big:
+        return Rational(rng.randint(-(10**15), 10**15), rng.randint(1, 10**12))
+    return Rational(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+
+def _real_pairs(seed, count=80):
+    """Zero and constant operands, negative and non-unit leads, planted
+    common factors and large denominators, then seeded random pairs."""
+    rng = random.Random(seed)
+
+    def rp(deg, big=False):
+        return RealPoly([_rand_rational(rng, big) for _ in range(deg + 1)])
+
+    cubic, lead = rp(3), RealPoly([1, 2, Rational(-5, 3)])
+    yield from [
+        (RealPoly(), cubic), (cubic, RealPoly([-3])), (RealPoly([Rational(2, 9)]), RealPoly([-4])),
+        (RealPoly(), RealPoly()), (cubic * lead, lead), (cubic * lead, cubic * RealPoly([0, -6])),
+    ]
+    for n in range(count):
+        big = n % 4 == 3
+        f, g = rp(rng.randint(-1, 6), big), rp(rng.randint(-1, 3), big)
+        if n % 3 == 0:
+            d = rp(rng.randint(1, 2), big)
+            f, g = f * d, g * d
+        yield f, g
+
+
+def _poly1_pairs(seed, count=60):
+    rng = random.Random(seed)
+
+    def rq(deg, big=False):
+        quats = [Quaternion(*(_rand_rational(rng, big) for _ in range(4))) for _ in range(deg + 1)]
+        return Poly1(quats)
+
+    cubic, lead = rq(3), Poly1([ONE, I, Quaternion(-2, 0, Rational(1, 3), 5)])
+    yield from [
+        (Poly1(), cubic), (cubic, Poly1([-3 * J])), (Poly1([K]), Poly1([Rational(2, 3)])),
+        (lead * cubic, lead), (cubic * lead, lead),
+    ]
+    for n in range(count):
+        big = n % 4 == 3
+        f, g = rq(rng.randint(-1, 5), big), rq(rng.randint(-1, 3), big)
+        if n % 3 == 0:
+            d = rq(rng.randint(1, 2), big)
+            f, g = (d * f, d * g) if n % 2 else (f * d, g * d)
+        yield f, g
+
+
+def _sympy_monic_gcd(f, g):
+    import sympy
+
+    x = sympy.symbols("x")
+    sp = [
+        sympy.Poly([sympy.Rational(str(c)) for c in reversed(p.coeffs)] or [0], x, domain="QQ")
+        for p in (f, g)
+    ]
+    d = sympy.gcd(*sp)
+    d = d.monic() if not d.is_zero else d
+    return RealPoly([Rational(int(c.p), int(c.q)) for c in reversed(d.all_coeffs())])
+
+
+def test_integer_real_gcd_matches_sympy():
+    for f, g in _real_pairs(101):
+        assert real_gcd(f, g) == _sympy_monic_gcd(f, g)
+
+
+def test_integer_real_divisions_match_the_fraction_loop():
+    for f, g in _real_pairs(103):
+        if g.is_zero:
+            continue
+        quot, rem = real_divmod(f, g)
+        assert f == g * quot + rem and rem.degree < g.degree
+        assert (quot, rem) == _fraction_divmod(f, g)
+        assert real_div_exact(g * quot, g) == quot
+        assert real_div_exact(f - rem, g) == quot
+        d = _fraction_gcd(f, g)
+        assert real_gcd(f, g) == (d * RealPoly([1 / d.lc]) if not d.is_zero else d)
+
+
+def test_integer_left_and_right_divisions_match_the_fraction_loop():
+    for f, g in _poly1_pairs(107):
+        if g.is_zero:
+            continue
+        quot, rem = left_divmod(f, g)
+        assert f == g * quot + rem and rem.degree < g.degree
+        assert (quot, rem) == _fraction_divmod(f, g)
+        quot, rem = right_divmod(f, g)
+        assert f == quot * g + rem and rem.degree < g.degree
+        cq, cr = _fraction_divmod(f.conj(), g.conj())
+        assert (quot, rem) == (cq.conj(), cr.conj())
+
+
+def test_integer_gcld_and_gcrd_match_the_fraction_chain():
+    for f, g in _poly1_pairs(109):
+        if f.is_zero and g.is_zero:
+            continue
+        assert gcld(f, g) == monic_right(_fraction_gcd(f, g))
+        assert gcrd(f, g) == monic_right(_fraction_gcd(f.conj(), g.conj())).conj()
